@@ -177,13 +177,16 @@ impl PowConfig {
         let best = AtomicU64::new(u64::MAX);
         let total_hashes = AtomicU64::new(0);
 
+        // Joined explicitly so worker threads have fully exited, not just
+        // finished their closures, before the search returns.
         std::thread::scope(|scope| {
+            let mut handles = Vec::with_capacity(threads);
             for worker in 0..threads as u64 {
                 let hash_fn = &hash_with_nonce;
                 let best = &best;
                 let total_hashes = &total_hashes;
                 let config = *self;
-                scope.spawn(move || {
+                handles.push(scope.spawn(move || {
                     let mut local_hashes = 0u64;
                     let mut index = worker;
                     while index < blocks {
@@ -204,7 +207,10 @@ impl PowConfig {
                         index += threads as u64;
                     }
                     total_hashes.fetch_add(local_hashes, Ordering::Relaxed);
-                });
+                }));
+            }
+            for handle in handles {
+                handle.join().expect("PoW worker panicked");
             }
         });
 

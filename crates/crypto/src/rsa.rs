@@ -523,6 +523,8 @@ mod tests {
 
     #[test]
     fn contexts_warm_up_lazily_and_cloning_keeps_them() {
+        // Reference mode skips context warm-up; hold the mode steady.
+        let _guard = crate::engine::mode_lock();
         let mut r = rng();
         let pair = RsaKeyPair::generate(&mut r, 256).unwrap();
         assert!(!pair.public.context_is_warm());

@@ -325,6 +325,8 @@ proptest! {
 
 #[test]
 fn warm_context_caches_do_not_change_serialized_keys() {
+    // Reference mode skips context warm-up; hold the mode steady.
+    let _guard = engine::mode_lock();
     let pair = &shared_keys()[0];
     // Cold copies built from the same material, never used for crypto.
     let cold_public = RsaPublicKey::new(

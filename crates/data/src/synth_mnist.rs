@@ -9,11 +9,26 @@
 //! and difficulty class as MNIST for linear/MLP models, generated
 //! deterministically from a seed — see DESIGN.md for why this substitution
 //! preserves the behaviours the paper's evaluation depends on.
+//!
+//! # Determinism contract
+//!
+//! A split is one RNG stream read in row order. Every sample consumes a
+//! fixed number of draws: four jitter draws (x and y translation,
+//! thickness, intensity), plus two Box-Muller draws per pixel when
+//! `noise_std > 0`. Row `r` therefore starts at a known stream offset,
+//! so [`SynthMnist::generate_split`] splits the rows into contiguous
+//! chunks across [`bfl_ml::par`] workers, and each worker renders its
+//! chunk in place from a clone of the caller's RNG advanced to its first
+//! row. The features, the labels and where the caller's RNG is left
+//! afterwards are bit-identical for every thread count; a one-thread
+//! limit is the serial case.
 
 use crate::dataset::Dataset;
+use bfl_ml::par::par_rows_mut;
 use bfl_ml::tensor::Matrix;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
+use std::sync::{Mutex, OnceLock};
 
 /// Image side length (28 pixels, as in MNIST).
 pub const IMAGE_SIDE: usize = 28;
@@ -21,6 +36,10 @@ pub const IMAGE_SIDE: usize = 28;
 pub const IMAGE_PIXELS: usize = IMAGE_SIDE * IMAGE_SIDE;
 /// Number of digit classes.
 pub const NUM_CLASSES: usize = 10;
+
+/// Fewest rows worth handing one generator worker: a noisy row costs
+/// tens of microseconds, so 16 rows amortize a thread spawn many times.
+const MIN_ROWS_PER_WORKER: usize = 16;
 
 /// One drawing primitive of a digit prototype.
 #[derive(Debug, Clone, Copy)]
@@ -33,63 +52,56 @@ enum Stroke {
 }
 
 /// Stroke prototypes for the digits 0-9.
-fn digit_strokes(digit: usize) -> Vec<Stroke> {
+const DIGIT_STROKES: [&[Stroke]; NUM_CLASSES] = {
     use std::f64::consts::PI;
-    match digit {
-        0 => vec![Stroke::Arc(14.0, 14.0, 6.0, 8.5, 0.0, 2.0 * PI)],
-        1 => vec![
+    [
+        &[Stroke::Arc(14.0, 14.0, 6.0, 8.5, 0.0, 2.0 * PI)],
+        &[
             Stroke::Line(14.0, 5.0, 14.0, 23.0),
             Stroke::Line(11.0, 8.0, 14.0, 5.0),
         ],
-        2 => vec![
+        &[
             Stroke::Arc(14.0, 9.5, 5.5, 4.5, PI, 2.25 * PI),
             Stroke::Line(18.5, 11.5, 8.5, 22.0),
             Stroke::Line(8.5, 22.0, 20.0, 22.0),
         ],
-        3 => vec![
+        &[
             Stroke::Arc(13.0, 9.5, 5.0, 4.5, 1.1 * PI, 2.4 * PI),
             Stroke::Arc(13.0, 18.5, 5.5, 4.5, 1.6 * PI, 2.9 * PI),
         ],
-        4 => vec![
+        &[
             Stroke::Line(17.5, 5.0, 17.5, 23.0),
             Stroke::Line(17.5, 5.0, 8.0, 16.0),
             Stroke::Line(8.0, 16.0, 21.0, 16.0),
         ],
-        5 => vec![
+        &[
             Stroke::Line(18.5, 5.5, 9.5, 5.5),
             Stroke::Line(9.5, 5.5, 9.5, 13.0),
             Stroke::Arc(13.5, 17.0, 5.5, 5.0, 1.25 * PI, 2.75 * PI),
         ],
-        6 => vec![
+        &[
             Stroke::Arc(13.5, 17.5, 5.5, 5.5, 0.0, 2.0 * PI),
             Stroke::Arc(16.0, 10.0, 8.0, 9.0, 0.55 * PI, 1.05 * PI),
         ],
-        7 => vec![
+        &[
             Stroke::Line(8.5, 5.5, 19.5, 5.5),
             Stroke::Line(19.5, 5.5, 12.0, 23.0),
         ],
-        8 => vec![
+        &[
             Stroke::Arc(14.0, 9.5, 4.5, 4.0, 0.0, 2.0 * PI),
             Stroke::Arc(14.0, 18.0, 5.5, 4.8, 0.0, 2.0 * PI),
         ],
-        9 => vec![
+        &[
             Stroke::Arc(14.0, 10.0, 5.0, 4.5, 0.0, 2.0 * PI),
             Stroke::Line(18.5, 10.5, 16.5, 23.0),
         ],
-        other => panic!("digit prototypes exist only for 0-9, requested {other}"),
-    }
-}
+    ]
+};
 
-/// Paints a stroke onto the canvas with the given thickness and intensity.
-fn render_stroke(
-    canvas: &mut [f64],
-    stroke: &Stroke,
-    thickness: f64,
-    intensity: f64,
-    dx: f64,
-    dy: f64,
-) {
-    let points: Vec<(f64, f64)> = match *stroke {
+/// Untranslated sample points along `stroke`: 61 along a line, 91 along
+/// an arc.
+fn sample_points(stroke: &Stroke) -> Vec<(f64, f64)> {
+    match *stroke {
         Stroke::Line(x0, y0, x1, y1) => {
             let steps = 60;
             (0..=steps)
@@ -108,28 +120,47 @@ fn render_stroke(
                 })
                 .collect()
         }
-    };
-    for (px, py) in points {
-        let px = px + dx;
-        let py = py + dy;
-        // Paint a small disc of radius `thickness` around each sample point.
-        let radius = thickness.ceil() as i64;
-        for oy in -radius..=radius {
-            for ox in -radius..=radius {
-                let x = px.round() as i64 + ox;
-                let y = py.round() as i64 + oy;
-                if x < 0 || y < 0 || x >= IMAGE_SIDE as i64 || y >= IMAGE_SIDE as i64 {
-                    continue;
-                }
-                let dist2 = ((x as f64 - px).powi(2) + (y as f64 - py).powi(2)).sqrt();
-                if dist2 <= thickness {
-                    let idx = y as usize * IMAGE_SIDE + x as usize;
-                    let value = intensity * (1.0 - 0.35 * (dist2 / thickness));
-                    if value > canvas[idx] {
-                        canvas[idx] = value;
-                    }
-                }
-            }
+    }
+}
+
+/// Untranslated sample points of every stroke of `digit`, computed once
+/// per process: only the per-sample translation varies between renders.
+fn stroke_points(digit: usize) -> &'static [(f64, f64)] {
+    static POINTS: OnceLock<[Vec<(f64, f64)>; NUM_CLASSES]> = OnceLock::new();
+    assert!(
+        digit < NUM_CLASSES,
+        "digit prototypes exist only for 0-9, requested {digit}"
+    );
+    &POINTS.get_or_init(|| {
+        std::array::from_fn(|d| DIGIT_STROKES[d].iter().flat_map(sample_points).collect())
+    })[digit]
+}
+
+/// Paints a disc of radius `thickness` around (px, py): each cell within
+/// the radius takes the larger of its value and `intensity`, faded by
+/// up to 35% towards the rim. The disc is clipped to the canvas up
+/// front, so the cell loop carries no bounds test.
+fn paint_disc(canvas: &mut [f64], px: f64, py: f64, thickness: f64, intensity: f64) {
+    let radius = thickness.ceil() as i64;
+    let last = IMAGE_SIDE as i64 - 1;
+    let (cx, cy) = (px.round() as i64, py.round() as i64);
+    let (x_lo, x_hi) = ((cx - radius).max(0), (cx + radius).min(last));
+    let (y_lo, y_hi) = ((cy - radius).max(0), (cy + radius).min(last));
+    if x_lo > x_hi || y_lo > y_hi {
+        return;
+    }
+    for y in y_lo..=y_hi {
+        let dy2 = (y as f64 - py).powi(2);
+        let row = y as usize * IMAGE_SIDE;
+        let cells = &mut canvas[row + x_lo as usize..=row + x_hi as usize];
+        for (x, cell) in (x_lo..=x_hi).zip(cells) {
+            let dist = ((x as f64 - px).powi(2) + dy2).sqrt();
+            let value = intensity * (1.0 - 0.35 * (dist / thickness));
+            *cell = if dist <= thickness {
+                cell.max(value)
+            } else {
+                *cell
+            };
         }
     }
 }
@@ -174,12 +205,30 @@ impl SynthMnist {
     /// Renders one sample of `digit` with random jitter.
     pub fn render_sample<R: Rng + ?Sized>(&self, digit: usize, rng: &mut R) -> Vec<f64> {
         let mut canvas = vec![0.0; IMAGE_PIXELS];
+        self.render_into(digit, &mut canvas, rng);
+        canvas
+    }
+
+    /// RNG draws one sample consumes: four jitter draws (translation,
+    /// thickness, intensity), plus two Box-Muller draws per pixel when
+    /// noise is on.
+    fn draws_per_sample(&self) -> usize {
+        if self.config.noise_std > 0.0 {
+            4 + 2 * IMAGE_PIXELS
+        } else {
+            4
+        }
+    }
+
+    /// Renders one sample of `digit` onto a zeroed `canvas`, consuming
+    /// exactly [`Self::draws_per_sample`] draws of `rng`.
+    fn render_into<R: Rng + ?Sized>(&self, digit: usize, canvas: &mut [f64], rng: &mut R) {
         let dx = rng.gen_range(-self.config.max_translation..=self.config.max_translation);
         let dy = rng.gen_range(-self.config.max_translation..=self.config.max_translation);
         let thickness = rng.gen_range(1.1..1.9);
         let intensity = rng.gen_range(0.75..1.0);
-        for stroke in digit_strokes(digit) {
-            render_stroke(&mut canvas, &stroke, thickness, intensity, dx, dy);
+        for &(x, y) in stroke_points(digit) {
+            paint_disc(canvas, x + dx, y + dy, thickness, intensity);
         }
         if self.config.noise_std > 0.0 {
             for value in canvas.iter_mut() {
@@ -190,24 +239,51 @@ impl SynthMnist {
                 *value = (*value + normal * self.config.noise_std).clamp(0.0, 1.0);
             }
         }
-        canvas
     }
 
     /// Generates a dataset of `samples` images with balanced class counts
     /// (classes are assigned round-robin).
-    pub fn generate_split<R: Rng + ?Sized>(&self, samples: usize, rng: &mut R) -> Dataset {
-        let mut rows = Vec::with_capacity(samples);
-        let mut labels = Vec::with_capacity(samples);
-        for i in 0..samples {
-            let digit = i % NUM_CLASSES;
-            rows.push(self.render_sample(digit, rng));
-            labels.push(digit);
-        }
-        Dataset::new(Matrix::from_rows(&rows), labels, NUM_CLASSES)
+    ///
+    /// Rows are rendered in place, in parallel; see the module docs for
+    /// why the result does not depend on the thread count. On return
+    /// `rng` has advanced past every draw the rows consumed.
+    pub fn generate_split<R: Rng + Clone + Send + Sync>(
+        &self,
+        samples: usize,
+        rng: &mut R,
+    ) -> Dataset {
+        let mut features = Matrix::zeros(samples, IMAGE_PIXELS);
+        let draws = self.draws_per_sample();
+        let stream_end = Mutex::new(None);
+        par_rows_mut(
+            &mut features.data,
+            IMAGE_PIXELS,
+            MIN_ROWS_PER_WORKER,
+            |first_row, rows| {
+                let mut stream = rng.clone();
+                for _ in 0..first_row * draws {
+                    stream.next_u64();
+                }
+                let mut row = first_row;
+                for canvas in rows.chunks_exact_mut(IMAGE_PIXELS) {
+                    self.render_into(row % NUM_CLASSES, canvas, &mut stream);
+                    row += 1;
+                }
+                if row == samples {
+                    *stream_end.lock().expect("generator worker panicked") = Some(stream);
+                }
+            },
+        );
+        *rng = stream_end
+            .into_inner()
+            .expect("generator worker panicked")
+            .expect("exactly one worker renders the last row");
+        let labels = (0..samples).map(|i| i % NUM_CLASSES).collect();
+        Dataset::new(features, labels, NUM_CLASSES)
     }
 
     /// Generates the train and test splits configured in [`SynthMnistConfig`].
-    pub fn generate<R: Rng + ?Sized>(&self, rng: &mut R) -> (Dataset, Dataset) {
+    pub fn generate<R: Rng + Clone + Send + Sync>(&self, rng: &mut R) -> (Dataset, Dataset) {
         let train = self.generate_split(self.config.train_samples, rng);
         let test = self.generate_split(self.config.test_samples, rng);
         (train, test)
@@ -293,6 +369,14 @@ mod tests {
         let hist = data.label_histogram();
         assert_eq!(hist.len(), NUM_CLASSES);
         assert!(hist.iter().all(|&c| c == 20));
+    }
+
+    #[test]
+    fn an_empty_split_keeps_the_image_width() {
+        let gen = generator();
+        let data = gen.generate_split(0, &mut StdRng::seed_from_u64(3));
+        assert!(data.is_empty());
+        assert_eq!(data.feature_count(), IMAGE_PIXELS);
     }
 
     #[test]

@@ -190,7 +190,11 @@ where
         return;
     }
 
+    // Join every worker explicitly: the scope's implicit wait returns
+    // once the closures finish, before the OS threads have exited, so
+    // their teardown could otherwise run after this call returns.
     std::thread::scope(|scope| {
+        let mut handles = Vec::with_capacity(workers);
         let mut rest = data;
         let mut row_start = 0;
         for w in 0..workers {
@@ -199,8 +203,11 @@ where
             rest = tail;
             let f = &f;
             let start = row_start;
-            scope.spawn(move || run_as_worker(|| f(start, chunk)));
+            handles.push(scope.spawn(move || run_as_worker(|| f(start, chunk))));
             row_start += range.len();
+        }
+        for handle in handles {
+            handle.join().expect("par_rows_mut worker panicked");
         }
     });
 }
