@@ -1,32 +1,33 @@
 //! Distance metrics and pairwise distance matrices.
 //!
-//! The pairwise matrix is the shared substrate of every clustering
-//! backend (DBSCAN and agglomerative consume it directly; k-means uses
-//! the rectangular [`cross_distance_matrix`] for its assignment step).
-//! Instead of `k²` independent `O(d)` vector traversals, the vectors are
-//! packed once into a row-major [`Matrix`] and a single Gram GEMM
-//! (`G = V · Vᵀ`, [`bfl_ml::tensor::matmul_transpose_b_into`]) produces
-//! every inner product; cosine and Euclidean distances then derive from
-//! `G` and its diagonal:
+//! The pairwise matrix is the shared substrate of the density and
+//! linkage backends (DBSCAN and agglomerative consume it directly;
+//! k-means uses the rectangular [`cross_distance_matrix`] for its
+//! assignment step). [`distance_matrix`] reads the vectors in place —
+//! borrowed rows, no packed copy — and takes every inner product from
+//! one symmetric Gram kernel, [`bfl_ml::tensor::gram`], which computes
+//! only the upper triangle (register-tiled under the AVX2 tier) and
+//! mirrors it. Cosine and Euclidean distances then derive from `G` and
+//! its diagonal:
 //!
 //! * cosine:    `d_ij = 1 − G_ij / √(G_ii · G_jj)`
 //! * euclidean: `d_ij = √(G_ii + G_jj − 2 G_ij)`
 //!
-//! Identical rows produce bit-identical Gram entries (every output
-//! element accumulates in the same ascending-`k` order), so identical
-//! points keep exactly zero distance — single-linkage clustering at a
-//! zero threshold depends on this. The quadratic per-pair path is
-//! retained as [`distance_matrix_reference`] for the equivalence tests.
-//!
-//! Because everything funnels through that one Gram GEMM, this module
-//! inherits the PR 10 AVX2+FMA tier (`bfl_ml::simd`) with no code of
-//! its own: `gemm_nt` dispatches per [`bfl_ml::simd::active`], and the
-//! vector tier reproduces the scalar accumulation order bit-for-bit —
-//! so the identical-rows ⇒ zero-distance guarantee above holds
-//! unchanged under either tier (Algorithm 2's θ scoring rides on it).
+//! Bit-identity argument: every Gram entry, tiled or not and under
+//! either SIMD tier, is the frozen lane-striped dot product of its two
+//! rows (`bfl_ml::simd` documents the accumulation order), and that dot
+//! is symmetric bit-for-bit because each product and FMA is
+//! commutative and exactly rounded. So the mirrored lower triangle
+//! equals what computing it would give, and identical rows yield
+//! bit-identical entries `G_ii == G_ij == G_jj` — identical points keep
+//! exactly zero Euclidean distance, which single-linkage clustering at
+//! a zero threshold depends on, and Algorithm 2's clustering cannot
+//! change with the tier or the thread count. The quadratic per-pair
+//! path is retained as [`distance_matrix_reference`] for the
+//! equivalence tests.
 
 use bfl_ml::gradient::{cosine_distance, l2_distance};
-use bfl_ml::tensor::{matmul_transpose_b_into, Matrix};
+use bfl_ml::tensor::{gram, matmul_transpose_b_into, Matrix};
 use serde::{Deserialize, Serialize};
 
 /// Metric used to compare gradient vectors.
@@ -77,42 +78,18 @@ impl DistanceMetric {
     }
 }
 
-fn pack(vectors: &[Vec<f64>]) -> Matrix {
-    Matrix::from_rows(vectors)
-}
-
-/// Full symmetric pairwise distance matrix (row-major `n x n`), computed
-/// through one Gram GEMM over the packed vector set.
-pub fn distance_matrix(vectors: &[Vec<f64>], metric: DistanceMetric) -> Vec<Vec<f64>> {
-    if vectors.is_empty() {
-        return Vec::new();
-    }
-    distance_matrix_packed(&pack(vectors), metric)
-}
-
-/// [`distance_matrix`] over an already packed row-major vector set — the
-/// form Algorithm 2 uses so the round's gradient set is packed exactly
-/// once and shared by clustering and the θ weights.
-pub fn distance_matrix_packed(rows: &Matrix, metric: DistanceMetric) -> Vec<Vec<f64>> {
-    let n = rows.rows;
-    if n == 0 {
-        return Vec::new();
-    }
-    let mut gram = Matrix::zeros(0, 0);
-    matmul_transpose_b_into(rows, rows, &mut gram);
-
+/// Full symmetric pairwise distance matrix (row-major `n x n`) over
+/// borrowed rows, computed through one symmetric Gram kernel.
+pub fn distance_matrix<R: AsRef<[f64]>>(vectors: &[R], metric: DistanceMetric) -> Vec<Vec<f64>> {
+    let rows: Vec<&[f64]> = vectors.iter().map(AsRef::as_ref).collect();
+    let n = rows.len();
+    let gram = gram(&rows);
     let mut matrix = vec![vec![0.0; n]; n];
     #[allow(clippy::needless_range_loop)] // triangular fill of both halves
     for i in 0..n {
         let g_ii = gram.get(i, i);
         for j in (i + 1)..n {
-            let d = metric.gram_distance(
-                rows.row(i),
-                rows.row(j),
-                gram.get(i, j),
-                g_ii,
-                gram.get(j, j),
-            );
+            let d = metric.gram_distance(rows[i], rows[j], gram.get(i, j), g_ii, gram.get(j, j));
             matrix[i][j] = d;
             matrix[j][i] = d;
         }
@@ -146,7 +123,7 @@ pub fn cross_distance_matrix(
     if a.is_empty() || b.is_empty() {
         return vec![Vec::new(); a.len()];
     }
-    cross_distance_matrix_packed(&pack(a), &pack(b), metric)
+    cross_distance_matrix_packed(&Matrix::from_rows(a), &Matrix::from_rows(b), metric)
 }
 
 /// [`cross_distance_matrix`] over already packed row sets.

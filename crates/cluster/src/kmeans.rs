@@ -41,24 +41,29 @@ fn splitmix64(state: &mut u64) -> u64 {
 
 /// Runs k-means over `vectors`. If there are fewer points than `k`, each
 /// point gets its own cluster.
-pub fn kmeans(vectors: &[Vec<f64>], config: &KmeansConfig) -> ClusterLabels {
-    if vectors.is_empty() {
-        return ClusterLabels::new(Vec::new());
-    }
-    kmeans_packed(&Matrix::from_rows(vectors), config)
-}
-
-/// [`kmeans`] over an already packed row-major point set; the assignment
-/// step computes all point-to-centroid distances with one rectangular
-/// Gram GEMM per Lloyd iteration instead of `n·k` vector traversals.
-pub fn kmeans_packed(points: &Matrix, config: &KmeansConfig) -> ClusterLabels {
-    let n = points.rows;
+///
+/// The points are packed once into a row-major [`Matrix`], so the
+/// assignment step computes all point-to-centroid distances with one
+/// rectangular Gram GEMM per Lloyd iteration instead of `n·k` vector
+/// traversals.
+pub fn kmeans<R: AsRef<[f64]>>(vectors: &[R], config: &KmeansConfig) -> ClusterLabels {
+    let n = vectors.len();
     if n == 0 {
         return ClusterLabels::new(Vec::new());
     }
+    let dim = vectors[0].as_ref().len();
+    let mut data = Vec::with_capacity(n * dim);
+    for vector in vectors {
+        assert_eq!(
+            vector.as_ref().len(),
+            dim,
+            "all points must have equal length"
+        );
+        data.extend_from_slice(vector.as_ref());
+    }
+    let points = Matrix::from_vec(n, dim, data);
     assert!(config.k >= 1, "k must be at least 1");
     let k = config.k.min(n);
-    let dim = points.cols;
 
     // Initialize centroids with distinct random points (Forgy).
     let mut state = config.seed;
@@ -78,7 +83,7 @@ pub fn kmeans_packed(points: &Matrix, config: &KmeansConfig) -> ClusterLabels {
     for _ in 0..config.max_iterations.max(1) {
         // Assignment step.
         let mut changed = false;
-        let distances = cross_distance_matrix_packed(points, &centroids, config.metric);
+        let distances = cross_distance_matrix_packed(&points, &centroids, config.metric);
         for (i, row) in distances.iter().enumerate() {
             let mut best = 0usize;
             let mut best_distance = f64::INFINITY;
@@ -139,7 +144,7 @@ mod tests {
 
     #[test]
     fn empty_input_yields_empty_labels() {
-        assert!(kmeans(&[], &KmeansConfig::default()).is_empty());
+        assert!(kmeans::<Vec<f64>>(&[], &KmeansConfig::default()).is_empty());
     }
 
     #[test]

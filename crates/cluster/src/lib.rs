@@ -26,7 +26,6 @@ pub use distance::{cross_distance_matrix, distance_matrix, DistanceMetric};
 pub use kmeans::{kmeans, KmeansConfig};
 pub use labels::ClusterLabels;
 
-use bfl_ml::tensor::Matrix;
 use serde::{Deserialize, Serialize};
 
 /// Which clustering algorithm Algorithm 2 should run.
@@ -62,31 +61,26 @@ impl ClusteringAlgorithm {
         }
     }
 
-    /// Runs the selected algorithm over the given vectors with the given
-    /// metric, returning per-vector cluster labels.
-    pub fn run(&self, vectors: &[Vec<f64>], metric: DistanceMetric) -> ClusterLabels {
+    /// Runs the selected algorithm over the given vectors (borrowed in
+    /// place) with the given metric, returning per-vector cluster
+    /// labels. DBSCAN and agglomerative clustering consume the shared
+    /// Gram-derived distance matrix directly; k-means packs its points
+    /// for the per-iteration assignment GEMMs.
+    pub fn run<R: AsRef<[f64]>>(&self, vectors: &[R], metric: DistanceMetric) -> ClusterLabels {
         if vectors.is_empty() {
             return ClusterLabels::new(Vec::new());
         }
-        self.run_packed(&Matrix::from_rows(vectors), metric)
-    }
-
-    /// [`ClusteringAlgorithm::run`] over an already packed row-major
-    /// vector set. DBSCAN and agglomerative clustering consume the shared
-    /// Gram-derived distance matrix directly; k-means reuses the packed
-    /// rows for its per-iteration assignment GEMMs.
-    pub fn run_packed(&self, rows: &Matrix, metric: DistanceMetric) -> ClusterLabels {
         match *self {
             ClusteringAlgorithm::Dbscan { eps, min_points } => dbscan::dbscan_with_distances(
-                &distance::distance_matrix_packed(rows, metric),
+                &distance_matrix(vectors, metric),
                 &dbscan::DbscanConfig {
                     eps,
                     min_points,
                     metric,
                 },
             ),
-            ClusteringAlgorithm::KMeans { k, max_iterations } => kmeans::kmeans_packed(
-                rows,
+            ClusteringAlgorithm::KMeans { k, max_iterations } => kmeans::kmeans(
+                vectors,
                 &kmeans::KmeansConfig {
                     k,
                     max_iterations,
@@ -96,7 +90,7 @@ impl ClusteringAlgorithm {
             ),
             ClusteringAlgorithm::Agglomerative { distance_threshold } => {
                 agglomerative::agglomerative_with_distances(
-                    &distance::distance_matrix_packed(rows, metric),
+                    &distance_matrix(vectors, metric),
                     distance_threshold,
                 )
             }

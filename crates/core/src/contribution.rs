@@ -15,7 +15,7 @@ use crate::reward::RewardEntry;
 use crate::strategy::LowContributionStrategy;
 use bfl_cluster::{ClusteringAlgorithm, DistanceMetric};
 use bfl_ml::gradient::GradientVector;
-use bfl_ml::tensor::{self, Matrix};
+use bfl_ml::tensor;
 use serde::{Deserialize, Serialize};
 
 /// The outcome of running Algorithm 2 on one round's gradient set.
@@ -177,33 +177,28 @@ pub fn analyze_contributions(
     let upload_refs: Vec<&[f64]> = uploads.iter().map(|(_, g)| *g).collect();
     let global_gradient = anchor.compute(&upload_refs);
 
-    // Pack the round's gradient set (uploads plus the anchor gradient,
-    // appended last) into one row-major matrix. This single packed copy
-    // feeds both the clustering backend — whose pairwise distances come
-    // out of one Gram GEMM — and the batched θ computation below.
+    // The round's gradient set: the uploads plus the anchor gradient,
+    // appended last, borrowed in place. The clustering backend takes
+    // every pairwise distance from one symmetric Gram over these rows.
     let n = uploads.len();
     let dim = global_gradient.len();
-    let mut clustered = Matrix::zeros(0, 0);
-    clustered.data.reserve((n + 1) * dim);
-    for upload in &upload_refs {
-        assert_eq!(upload.len(), dim, "all uploads must have equal length");
-        clustered.data.extend_from_slice(upload);
-    }
-    clustered.data.extend_from_slice(&global_gradient);
-    clustered.rows = n + 1;
-    clustered.cols = dim;
+    assert!(
+        upload_refs.iter().all(|upload| upload.len() == dim),
+        "all uploads must have equal length"
+    );
+    let mut gradient_set = upload_refs.clone();
+    gradient_set.push(&global_gradient);
 
-    let labels = algorithm.run_packed(&clustered, metric);
+    let labels = algorithm.run(&gradient_set, metric);
     let global_index = n;
     let cluster_count = labels.cluster_count();
 
     // Algorithm 2's θ weights — cosine distance of every upload to the
-    // global gradient — as one matrix-vector product plus per-row norms,
-    // instead of one full vector traversal per upload.
-    let inner: Vec<f64> = clustered.matvec(&global_gradient);
+    // global gradient.
+    let (inner, upload_norms) = theta_inputs(&upload_refs, &global_gradient);
     let global_norm = tensor::l2_norm(&global_gradient);
     let theta = |i: usize| -> f64 {
-        let upload_norm = tensor::l2_norm(upload_refs[i]);
+        let upload_norm = upload_norms[i];
         let similarity = if upload_norm == 0.0 || global_norm == 0.0 {
             0.0
         } else {
@@ -241,6 +236,52 @@ pub fn analyze_contributions(
         global_gradient,
         cluster_count,
     }
+}
+
+/// Uploads per interleaved group in [`theta_inputs`].
+const THETA_ROWS: usize = 4;
+
+/// θ's inputs for every upload: `⟨u_i, g⟩` and `‖u_i‖`, bit-identical to
+/// `tensor::dot(u_i, g)` and `tensor::l2_norm(u_i)`. Each of those is one
+/// latency-bound `Iterator::sum` chain; here [`THETA_ROWS`] uploads
+/// advance together as twice as many independent chains that share each
+/// load of `g`.
+fn theta_inputs(uploads: &[&[f64]], global: &[f64]) -> (Vec<f64>, Vec<f64>) {
+    let mut inner = Vec::with_capacity(uploads.len());
+    let mut norms = Vec::with_capacity(uploads.len());
+    let mut groups = uploads.chunks_exact(THETA_ROWS);
+    for group in &mut groups {
+        let rows: [&[f64]; THETA_ROWS] = std::array::from_fn(|r| group[r]);
+        let (dots, squares) = interleaved_chains(rows, global);
+        inner.extend(dots);
+        norms.extend(squares.map(f64::sqrt));
+    }
+    for &upload in groups.remainder() {
+        let ([dot], [square]) = interleaved_chains([upload], global);
+        inner.push(dot);
+        norms.push(square.sqrt());
+    }
+    (inner, norms)
+}
+
+/// `⟨rows[r], x⟩` and `⟨rows[r], rows[r]⟩` for each of the `N` rows,
+/// every chain exactly `a.iter().zip(b).map(|(x, y)| x * y).sum()`: the
+/// same start value (taken from `Iterator::sum` itself, which is `-0.0`
+/// on current toolchains) and the same ascending multiply-then-add
+/// order, only interleaved with the other chains.
+fn interleaved_chains<const N: usize>(rows: [&[f64]; N], x: &[f64]) -> ([f64; N], [f64; N]) {
+    assert!(rows.iter().all(|row| row.len() == x.len()));
+    let start: f64 = std::iter::empty::<f64>().sum();
+    let mut dots = [start; N];
+    let mut squares = [start; N];
+    for (j, &x_j) in x.iter().enumerate() {
+        for r in 0..N {
+            let v = rows[r][j];
+            dots[r] += v * x_j;
+            squares[r] += v * v;
+        }
+    }
+    (dots, squares)
 }
 
 #[cfg(test)]
@@ -530,6 +571,44 @@ mod tests {
                 "{algorithm:?} should isolate the forged uploads, got {:?}",
                 report.low_contribution
             );
+        }
+    }
+
+    /// The interleaved θ chains must reproduce `tensor::dot` and
+    /// `tensor::l2_norm` bit-for-bit for every group/remainder split,
+    /// including rows whose products are all `-0.0` (the sum's start
+    /// value decides the sign) or all `+0.0`.
+    #[test]
+    fn interleaved_theta_inputs_match_dot_and_norm_bits() {
+        let dim = 37;
+        let mut state = 0x7e7au64;
+        let mut next = || {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            ((state >> 11) as f64 / (1u64 << 53) as f64) * 8.0 - 4.0
+        };
+        let global: Vec<f64> = (0..dim).map(|_| next().abs() + 0.5).collect();
+        let mut rows: Vec<Vec<f64>> = vec![vec![-0.0; dim], vec![0.0; dim]];
+        rows.extend((0..9).map(|_| (0..dim).map(|_| next()).collect::<Vec<f64>>()));
+        for count in 0..=rows.len() {
+            let uploads: Vec<&[f64]> = rows[..count].iter().map(Vec::as_slice).collect();
+            let (inner, norms) = theta_inputs(&uploads, &global);
+            assert_eq!((inner.len(), norms.len()), (count, count));
+            for (i, upload) in uploads.iter().enumerate() {
+                let dot = tensor::dot(upload, &global);
+                let norm = tensor::l2_norm(upload);
+                assert_eq!(
+                    inner[i].to_bits(),
+                    dot.to_bits(),
+                    "dot, {count} rows, row {i}"
+                );
+                assert_eq!(
+                    norms[i].to_bits(),
+                    norm.to_bits(),
+                    "norm, {count} rows, row {i}"
+                );
+            }
         }
     }
 }

@@ -27,6 +27,24 @@
 //!   left-to-right chain of eight dependent adds), and the sub-`LANES`
 //!   remainder stays plain scalar `out += a[i] * b[i]`.
 //!
+//! The kernels, each the vector form of one scalar path in `tensor.rs`:
+//!
+//! * `dot` — the per-element lane-striped dot (`dot_lanes`);
+//! * `gemm_nt_large` — `A · Bᵀ` for many output rows: `dot` per output,
+//!   four- or sixteen-row output tiles so each `B` row streams once per
+//!   tile;
+//! * `gemm_nt_small` — `A · Bᵀ` for minibatch logits: `NT_K_BLOCK`
+//!   partials, four outputs sharing one `hsum4`;
+//! * `gram_tile` — one `3 x 3` register tile of the symmetric
+//!   `tensor::gram`: nine outputs share each operand load, each keeps
+//!   its own eight stripe accumulators (advanced slot by slot over
+//!   `GRAM_K_BLOCK` blocks, ascending `k` within each slot) and finishes
+//!   with `dot`'s fold, tail, `hsum1` and remainder, so every output is
+//!   bit-identical to `dot` on its two rows;
+//! * `gemm_tn` — `Aᵀ · B`, a four-row register tile over the sample
+//!   loop;
+//! * `axpy` — `y += alpha * x`, unfused.
+//!
 //! Because the lane-striped accumulators start at `+0.0` and an FMA
 //! chain seeded with `+0.0` can never produce `-0.0`, the re-bracketed
 //! vector fold cannot even diverge on signed zeros; the proptest suite
@@ -63,7 +81,7 @@
 use std::sync::atomic::{AtomicU8, Ordering};
 
 #[cfg(target_arch = "x86_64")]
-use crate::tensor::{LANES, NT_K_BLOCK, STRIPE};
+use crate::tensor::{GRAM_K_BLOCK, GRAM_TILE, LANES, NT_K_BLOCK, STRIPE};
 
 const UNRESOLVED: u8 = 0;
 const OFF: u8 = 1;
@@ -138,11 +156,10 @@ mod avx2 {
     use super::*;
     use core::arch::x86_64::*;
 
-    /// One lane-striped product stream: runs the `STRIPE`-wide FMA
-    /// loop and the `LANES`-wide tail over `a`/`b`, returning the two
-    /// folded `ymm` accumulators (`folded[0..4]`, `folded[4..8]`) and
-    /// the index where vector coverage stopped (callers finish the
-    /// sub-`LANES` remainder in scalar, exactly like `dot_lanes`).
+    /// The `STRIPE`-wide FMA loop of one lane-striped product stream:
+    /// returns the eight `ymm` stripe accumulators (scalar slots
+    /// `acc[4t..4t+4]` in `acc[t]`) and the index where whole stripes
+    /// stopped. [`fold_tail`] continues from there.
     ///
     /// # Safety
     /// Requires AVX2+FMA; `a.len() == b.len()`. Deliberately carries no
@@ -152,12 +169,11 @@ mod avx2 {
     /// can leave a call boundary in the middle of a dot product. Callers
     /// must themselves be `#[target_feature(enable = "avx2,fma")]`.
     #[inline(always)]
-    unsafe fn stream_one(a: &[f64], b: &[f64]) -> (__m256d, __m256d, usize) {
+    unsafe fn stripes(a: &[f64], b: &[f64]) -> ([__m256d; STRIPE / 4], usize) {
         debug_assert_eq!(a.len(), b.len());
         let len = a.len();
         let ap = a.as_ptr();
         let bp = b.as_ptr();
-        // acc[t] holds scalar slots [4t, 4t+4): eight ymm = one STRIPE.
         let mut acc = [_mm256_setzero_pd(); STRIPE / 4];
         let mut i = 0usize;
         while i + STRIPE <= len {
@@ -168,6 +184,27 @@ mod avx2 {
             }
             i += STRIPE;
         }
+        (acc, i)
+    }
+
+    /// Folds the stripe accumulators and runs the `LANES`-wide tail from
+    /// `i`, returning the two folded `ymm` accumulators (`folded[0..4]`,
+    /// `folded[4..8]`) and the index where vector coverage stopped
+    /// (callers finish the sub-`LANES` remainder in scalar, exactly like
+    /// `dot_lanes`).
+    ///
+    /// # Safety
+    /// As [`stripes`]; `i` is where the whole stripes of `a`/`b` ended.
+    #[inline(always)]
+    unsafe fn fold_tail(
+        acc: &[__m256d; STRIPE / 4],
+        a: &[f64],
+        b: &[f64],
+        mut i: usize,
+    ) -> (__m256d, __m256d, usize) {
+        let len = a.len();
+        let ap = a.as_ptr();
+        let bp = b.as_ptr();
         // Scalar fold order `folded[l % LANES] += acc[l]`, ascending l:
         // lane j gathers acc[j], acc[j+8], acc[j+16], acc[j+24].
         let mut f0 = _mm256_add_pd(_mm256_add_pd(_mm256_add_pd(acc[0], acc[2]), acc[4]), acc[6]);
@@ -184,11 +221,39 @@ mod avx2 {
         (f0, f1, i)
     }
 
+    /// One lane-striped product stream up to the horizontal reduction:
+    /// [`stripes`] then [`fold_tail`].
+    ///
+    /// # Safety
+    /// As [`stripes`].
+    #[inline(always)]
+    unsafe fn stream_one(a: &[f64], b: &[f64]) -> (__m256d, __m256d, usize) {
+        let (acc, i) = stripes(a, b);
+        fold_tail(&acc, a, b, i)
+    }
+
+    /// Everything after the stripes: fold, `LANES` tail, [`hsum1`] and
+    /// the scalar remainder — the end of [`dot`], shared by the Gram
+    /// tile so each tile output finishes exactly like a lone `dot`.
+    ///
+    /// # Safety
+    /// As [`fold_tail`].
+    #[inline(always)]
+    unsafe fn finish(acc: &[__m256d; STRIPE / 4], a: &[f64], b: &[f64], i: usize) -> f64 {
+        let (f0, f1, mut i) = fold_tail(acc, a, b, i);
+        let mut out = hsum1(f0, f1);
+        while i < a.len() {
+            out += a[i] * b[i];
+            i += 1;
+        }
+        out
+    }
+
     /// Horizontal reduction of one folded pair: spills to memory and
     /// performs the scalar path's literal `folded.iter().sum()`.
     ///
     /// # Safety
-    /// Requires AVX2; see `stream_one` for why there is no
+    /// Requires AVX2; see `stripes` for why there is no
     /// `#[target_feature]` here.
     #[inline(always)]
     unsafe fn hsum1(f0: __m256d, f1: __m256d) -> f64 {
@@ -205,7 +270,7 @@ mod avx2 {
     /// amortizing the serial-add latency across four dot products.
     ///
     /// # Safety
-    /// Requires AVX2; see `stream_one` for why there is no
+    /// Requires AVX2; see `stripes` for why there is no
     /// `#[target_feature]` here.
     #[inline(always)]
     unsafe fn hsum4(p: &[(__m256d, __m256d); 4]) -> [f64; 4] {
@@ -246,13 +311,66 @@ mod avx2 {
     #[inline]
     #[target_feature(enable = "avx2,fma")]
     pub unsafe fn dot(a: &[f64], b: &[f64]) -> f64 {
-        let (f0, f1, mut i) = stream_one(a, b);
-        let mut out = hsum1(f0, f1);
-        while i < a.len() {
-            out += a[i] * b[i];
-            i += 1;
+        let (acc, i) = stripes(a, b);
+        finish(&acc, a, b, i)
+    }
+
+    /// AVX2 register tile of [`crate::tensor::gram`]: the
+    /// `GRAM_TILE x GRAM_TILE` inner products `⟨a[r], b[c]⟩`, row-major,
+    /// each bit-identical to [`dot`]`(a[r], b[c])`.
+    ///
+    /// Every output keeps its own eight stripe accumulators (`acc[o]`,
+    /// in memory); the nine outputs share each `A`/`B` load instead of
+    /// streaming two operands per FMA. The striped prefix is walked in
+    /// `GRAM_K_BLOCK` blocks so the tile's six row windows stay
+    /// L1-resident, and inside a block one pass per `ymm` slot `t` keeps
+    /// that slot's nine accumulators in registers (9 accumulators + 6
+    /// operands of the 16 `ymm`). Slot chains are independent, so the
+    /// pass order does not matter; within each slot the FMAs still run
+    /// in ascending `k` from `+0.0`, exactly as in `stripes`. Each
+    /// output then runs `finish` — the fold, `LANES` tail, `hsum1` and
+    /// scalar remainder of [`dot`].
+    ///
+    /// # Safety
+    /// Requires AVX2+FMA; all six rows have the same length.
+    #[inline]
+    #[target_feature(enable = "avx2,fma")]
+    pub unsafe fn gram_tile(
+        a: [&[f64]; GRAM_TILE],
+        b: [&[f64]; GRAM_TILE],
+    ) -> [f64; GRAM_TILE * GRAM_TILE] {
+        const SLOTS: usize = STRIPE / 4;
+        let len = a[0].len();
+        let striped = len - len % STRIPE;
+        let ap = a.map(<[f64]>::as_ptr);
+        let bp = b.map(<[f64]>::as_ptr);
+        // acc[t][o]: slot group `t` of output `o = r * GRAM_TILE + c`.
+        let mut acc = [[_mm256_setzero_pd(); GRAM_TILE * GRAM_TILE]; SLOTS];
+        let mut k0 = 0usize;
+        while k0 < striped {
+            let k_end = (k0 + GRAM_K_BLOCK).min(striped);
+            for (t, slot) in acc.iter_mut().enumerate() {
+                let mut s = *slot;
+                let mut i = k0 + 4 * t;
+                while i < k_end {
+                    let av = ap.map(|p| _mm256_loadu_pd(p.add(i)));
+                    let bv = bp.map(|p| _mm256_loadu_pd(p.add(i)));
+                    for (r, &a_r) in av.iter().enumerate() {
+                        for (c, &b_c) in bv.iter().enumerate() {
+                            let o = r * GRAM_TILE + c;
+                            s[o] = _mm256_fmadd_pd(a_r, b_c, s[o]);
+                        }
+                    }
+                    i += STRIPE;
+                }
+                *slot = s;
+            }
+            k0 = k_end;
         }
-        out
+        core::array::from_fn(|o| {
+            let stripe_acc = core::array::from_fn(|t| acc[t][o]);
+            finish(&stripe_acc, a[o / GRAM_TILE], b[o % GRAM_TILE], striped)
+        })
     }
 
     /// AVX2 large-row `A · Bᵀ` regime (evaluation logits, Gram
@@ -598,4 +716,4 @@ mod avx2 {
 }
 
 #[cfg(target_arch = "x86_64")]
-pub use avx2::{axpy, dot, gemm_nt_large, gemm_nt_small, gemm_tn};
+pub use avx2::{axpy, dot, gemm_nt_large, gemm_nt_small, gemm_tn, gram_tile};

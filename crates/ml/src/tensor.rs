@@ -4,7 +4,7 @@
 //! # Kernel layer
 //!
 //! Three matrix-matrix kernels cover every shape the training and
-//! evaluation engines need:
+//! evaluation engines need, and a fourth serves Algorithm 2:
 //!
 //! * [`matmul_into`] — `C = A · B`, in `i`/`k`/`j` loop order. The inner
 //!   `j` loop is a pure `c[j] += a_ik * b[j]` stream with no reduction
@@ -15,13 +15,16 @@
 //!   (`grad_W = δᵀ · X`). Accumulation over `k` runs in ascending order,
 //!   which keeps the batched gradients numerically aligned with the
 //!   per-sample reference path (same summation order per output element).
-//! * [`matmul_transpose_b_into`] — `C = A · Bᵀ`, the Gram kernel used
-//!   for logits against row-major weights and for cosine-distance
-//!   matrices. The `j` loop is unrolled four wide so four independent
+//! * [`matmul_transpose_b_into`] — `C = A · Bᵀ`, used for logits
+//!   against row-major weights and for k-means' point-to-centroid
+//!   distances. The `j` loop is unrolled four wide so four independent
 //!   dot-product accumulators hide the floating-point add latency that
 //!   makes one-at-a-time `dot` calls latency-bound.
+//! * [`gram`] — the symmetric `G = V · Vᵀ` over borrowed rows behind the
+//!   clustering distance matrices: upper triangle only, in register
+//!   tiles, mirrored; every entry bit-identical to the per-element dot.
 //!
-//! Each kernel has a slice-level core ([`gemm_nn`], [`gemm_tn`],
+//! The three GEMMs have slice-level cores ([`gemm_nn`], [`gemm_tn`],
 //! [`gemm_nt`]) taking raw row-major buffers plus dimensions, so models
 //! can point operands directly at windows of their flat parameter
 //! vector — logits and weight gradients run against the parameters in
@@ -164,34 +167,6 @@ impl Matrix {
     /// Transposes `self` into `out` (reusing its allocation).
     pub fn transpose_into(&self, out: &mut Matrix) {
         transpose_slice_into(&self.data, self.rows, self.cols, out);
-    }
-
-    /// Matrix-vector product `self * x` (parallel over row blocks).
-    pub fn matvec(&self, x: &[f64]) -> Vector {
-        assert_eq!(x.len(), self.cols, "matvec dimension mismatch");
-        let mut out = vec![0.0; self.rows];
-        if self.cols == 0 {
-            return out;
-        }
-        par::par_rows_mut(&mut out, 1, 64, |row_start, chunk| {
-            for (offset, slot) in chunk.iter_mut().enumerate() {
-                *slot = dot(self.row(row_start + offset), x);
-            }
-        });
-        out
-    }
-
-    /// Matrix-transpose-vector product `selfᵀ * y`.
-    pub fn matvec_transpose(&self, y: &[f64]) -> Vector {
-        assert_eq!(y.len(), self.rows, "matvec_transpose dimension mismatch");
-        let mut out = vec![0.0; self.cols];
-        for (r, &coeff) in y.iter().enumerate() {
-            if coeff == 0.0 {
-                continue;
-            }
-            axpy(coeff, self.row(r), &mut out);
-        }
-        out
     }
 
     /// Frobenius norm of the matrix.
@@ -734,6 +709,109 @@ fn gemm_nt_core<'a>(
     }
 }
 
+/// Rows and columns of one [`gram`] register tile: a `3 x 3` block of
+/// outputs keeps its nine accumulators plus three `A` and three `B`
+/// operand vectors inside the sixteen AVX2 registers.
+pub(crate) const GRAM_TILE: usize = 3;
+
+/// `k`-block of the [`gram`] tile kernel, a multiple of [`STRIPE`]: the
+/// six row windows of one tile (`6 x 512 x 8 B` = 24 KiB) stay
+/// L1-resident across the eight per-slot passes over a block.
+pub(crate) const GRAM_K_BLOCK: usize = 16 * STRIPE;
+
+/// Row blocks per [`gram`] panel: tiles are ordered panel by panel, and
+/// within a panel column block by column block, so the panel's
+/// `4 x 3` rows (~750 KiB at 7,850 columns) stay L2-resident while each
+/// column block streams in once per panel rather than once per row
+/// block.
+const GRAM_PANEL: usize = 4;
+
+/// Fewest [`gram`] tiles worth handing one worker thread: nine long dot
+/// products per tile, so a handful amortizes the spawn.
+const GRAM_MIN_TILES_PER_THREAD: usize = 8;
+
+/// Symmetric Gram matrix of borrowed, equal-length rows:
+/// `G[i][j] = ⟨rows[i], rows[j]⟩`, returned as an `n x n` [`Matrix`].
+///
+/// Every entry is bit-identical to `dot_lanes(rows[i], rows[j])`,
+/// the per-element dot of [`gemm_nt`]'s large-row regime, under either
+/// SIMD tier. Only the upper triangle is computed; the lower one is its
+/// mirror, which is exact because `dot_lanes(a, b) == dot_lanes(b, a)`
+/// bit-for-bit (each FMA and remainder product is commutative and
+/// exactly rounded). The rows are read in place — no packed copy.
+///
+/// Rows are grouped into `GRAM_TILE`-row blocks. Each upper-triangle
+/// block pair is one tile: the AVX2 tier computes it with the
+/// register-tiled `simd::gram_tile`, the scalar tier with one
+/// `dot_lanes_scalar` per upper-triangle pair. Tiles fan out through
+/// [`par::par_map`] and each returns only its own outputs, so the
+/// result is independent of the thread count. The rows past the last
+/// whole block use the per-element `dot_lanes`.
+pub fn gram(rows: &[&[f64]]) -> Matrix {
+    let n = rows.len();
+    let mut g = Matrix::zeros(n, n);
+    let Some(first) = rows.first() else {
+        return g;
+    };
+    let k = first.len();
+    assert!(
+        rows.iter().all(|row| row.len() == k),
+        "gram rows must have equal length"
+    );
+    let blocks = n / GRAM_TILE;
+    let tiles: Vec<(usize, usize)> = (0..blocks)
+        .step_by(GRAM_PANEL)
+        .flat_map(|p| {
+            (p..blocks).flat_map(move |bj| {
+                (p..(p + GRAM_PANEL).min(bj + 1)).map(move |bi| (bi * GRAM_TILE, bj * GRAM_TILE))
+            })
+        })
+        .collect();
+    let values = par::par_map(&tiles, GRAM_MIN_TILES_PER_THREAD, |_, &(r0, c0)| {
+        gram_tile(rows, r0, c0)
+    });
+    let mut put = |i: usize, j: usize, value: f64| {
+        g.set(i, j, value);
+        g.set(j, i, value);
+    };
+    for (&(r0, c0), tile) in tiles.iter().zip(&values) {
+        for (o, &value) in tile.iter().enumerate() {
+            let (i, j) = (r0 + o / GRAM_TILE, c0 + o % GRAM_TILE);
+            if i <= j {
+                put(i, j, value);
+            }
+        }
+    }
+    for j in blocks * GRAM_TILE..n {
+        for i in 0..=j {
+            put(i, j, dot_lanes(rows[i], rows[j]));
+        }
+    }
+    g
+}
+
+/// One [`gram`] tile: `⟨rows[r0 + r], rows[c0 + c]⟩` for `r, c <
+/// GRAM_TILE`, row-major. Entries below the diagonal of a diagonal tile
+/// are never read; the scalar tier leaves them zero.
+fn gram_tile(rows: &[&[f64]], r0: usize, c0: usize) -> [f64; GRAM_TILE * GRAM_TILE] {
+    let a: [&[f64]; GRAM_TILE] = std::array::from_fn(|r| rows[r0 + r]);
+    let b: [&[f64]; GRAM_TILE] = std::array::from_fn(|c| rows[c0 + c]);
+    #[cfg(target_arch = "x86_64")]
+    if simd::active() {
+        // SAFETY: `simd::active()` guarantees AVX2+FMA were detected, and
+        // `gram` checked that every row has the same length.
+        return unsafe { simd::gram_tile(a, b) };
+    }
+    std::array::from_fn(|o| {
+        let (r, c) = (o / GRAM_TILE, o % GRAM_TILE);
+        if r0 + r <= c0 + c {
+            dot_lanes_scalar(a[r], b[c])
+        } else {
+            0.0
+        }
+    })
+}
+
 /// Reusable buffers for the batched training/evaluation engine. See the
 /// module docs for the design; build one per worker and thread it
 /// through every batched call the worker makes.
@@ -885,25 +963,6 @@ mod tests {
     }
 
     #[test]
-    fn matvec_small_example() {
-        let m = Matrix::from_rows(&[vec![1.0, 2.0], vec![3.0, 4.0]]);
-        assert_eq!(m.matvec(&[1.0, 1.0]), vec![3.0, 7.0]);
-        assert_eq!(m.matvec_transpose(&[1.0, 1.0]), vec![4.0, 6.0]);
-    }
-
-    #[test]
-    fn matvec_many_rows_matches_sequential() {
-        let rows: Vec<Vec<f64>> = (0..100)
-            .map(|r| (0..8).map(|c| (r * 8 + c) as f64).collect())
-            .collect();
-        let m = Matrix::from_rows(&rows);
-        let x: Vec<f64> = (0..8).map(|i| i as f64 * 0.5).collect();
-        let par = m.matvec(&x);
-        let seq: Vec<f64> = (0..m.rows).map(|r| dot(m.row(r), &x)).collect();
-        assert_eq!(par, seq);
-    }
-
-    #[test]
     fn blas_like_helpers() {
         assert_eq!(dot(&[1.0, 2.0, 3.0], &[4.0, 5.0, 6.0]), 32.0);
         let mut y = vec![1.0, 1.0];
@@ -1049,24 +1108,6 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(32))]
 
         #[test]
-        fn matvec_is_linear(rows in 1usize..20, cols in 1usize..20, seed in any::<u64>()) {
-            // Build a deterministic pseudo-random matrix and two vectors.
-            let mut state = seed;
-            let mut next = || {
-                state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-                ((state >> 11) as f64 / (1u64 << 53) as f64) - 0.5
-            };
-            let m = Matrix::from_vec(rows, cols, (0..rows * cols).map(|_| next()).collect());
-            let x: Vec<f64> = (0..cols).map(|_| next()).collect();
-            let y: Vec<f64> = (0..cols).map(|_| next()).collect();
-            let lhs = m.matvec(&add(&x, &y));
-            let rhs = add(&m.matvec(&x), &m.matvec(&y));
-            for (a, b) in lhs.iter().zip(rhs.iter()) {
-                prop_assert!((a - b).abs() < 1e-9);
-            }
-        }
-
-        #[test]
         fn transpose_product_adjoint_identity(rows in 1usize..15, cols in 1usize..15, seed in any::<u64>()) {
             // <A x, y> == <x, Aᵀ y>
             let mut state = seed | 1;
@@ -1075,10 +1116,10 @@ mod tests {
                 ((state >> 11) as f64 / (1u64 << 53) as f64) - 0.5
             };
             let m = Matrix::from_vec(rows, cols, (0..rows * cols).map(|_| next()).collect());
-            let x: Vec<f64> = (0..cols).map(|_| next()).collect();
-            let y: Vec<f64> = (0..rows).map(|_| next()).collect();
-            let lhs = dot(&m.matvec(&x), &y);
-            let rhs = dot(&x, &m.matvec_transpose(&y));
+            let x = Matrix::from_vec(cols, 1, (0..cols).map(|_| next()).collect());
+            let y = Matrix::from_vec(rows, 1, (0..rows).map(|_| next()).collect());
+            let lhs = dot(&matmul(&m, &x).data, &y.data);
+            let rhs = dot(&x.data, &matmul_transpose_a(&m, &y).data);
             prop_assert!((lhs - rhs).abs() < 1e-9);
         }
 
@@ -1098,10 +1139,10 @@ mod tests {
                 state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
                 ((state >> 11) as f64 / (1u64 << 53) as f64) - 0.5
             };
-            let x: Vec<f64> = (0..n).map(|_| next()).collect();
-            let lhs = matmul(&a, &b).matvec(&x);
-            let rhs = a.matvec(&b.matvec(&x));
-            for (p, q) in lhs.iter().zip(rhs.iter()) {
+            let x = Matrix::from_vec(n, 1, (0..n).map(|_| next()).collect());
+            let lhs = matmul(&matmul(&a, &b), &x);
+            let rhs = matmul(&a, &matmul(&b, &x));
+            for (p, q) in lhs.data.iter().zip(rhs.data.iter()) {
                 prop_assert!((p - q).abs() < 1e-9);
             }
         }

@@ -3,8 +3,8 @@
 //! same predictions, on randomized models and data.
 
 use bfl_ml::model::{AnyModel, Model, ModelKind};
-use bfl_ml::tensor::{Matrix, Scratch};
-use bfl_ml::{engine, metrics};
+use bfl_ml::tensor::{self, Matrix, Scratch};
+use bfl_ml::{engine, metrics, par};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -169,5 +169,27 @@ fn reference_mode_switch_routes_loss_and_grad() {
     assert!((batched.0 - reference.0).abs() < TOLERANCE);
     for (b, r) in batched.1.iter().zip(reference.1.iter()) {
         assert!((b - r).abs() < TOLERANCE);
+    }
+}
+
+/// The symmetric Gram fans its tiles out over the worker pool; each tile
+/// writes only its own outputs, so any thread limit gives the same bits.
+/// 40 rows make 91 tiles, enough for eight workers.
+#[test]
+fn gram_is_bit_identical_across_thread_limits() {
+    let mut rng = StdRng::seed_from_u64(0x6A4);
+    let (features, _) = random_dataset(&mut rng, 40, 300, 2);
+    let rows: Vec<&[f64]> = (0..features.rows).map(|r| features.row(r)).collect();
+    let serial = par::with_thread_limit(1, || tensor::gram(&rows));
+    for limit in [2, 8] {
+        let parallel = par::with_thread_limit(limit, || tensor::gram(&rows));
+        assert!(
+            serial
+                .data
+                .iter()
+                .zip(&parallel.data)
+                .all(|(s, p)| s.to_bits() == p.to_bits()),
+            "thread limit {limit} changed the Gram"
+        );
     }
 }

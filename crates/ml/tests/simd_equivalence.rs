@@ -2,8 +2,9 @@
 //! of the AVX2+FMA tier must reproduce the frozen scalar accumulation
 //! order exactly — `to_bits()` equality, not an epsilon — across
 //! arbitrary shapes (empty operands, sub-`LANES` remainders, stripe
-//! tails, both `gemm_nt` cache regimes) and adversarial values (signed
-//! zeros, subnormals, magnitudes that stress rounding).
+//! tails, both `gemm_nt` cache regimes, `gram` tiles and edges) and
+//! adversarial values (signed zeros, subnormals, magnitudes that stress
+//! rounding).
 //!
 //! The tier is pinned per comparison with [`simd::set_enabled`], which
 //! flips a process-global atomic; [`tier_lock`] serializes every
@@ -78,6 +79,41 @@ fn element() -> AdversarialF64 {
 
 fn buffer(len: usize) -> impl Strategy<Value = Vec<f64>> {
     proptest::collection::vec(AdversarialF64, len..len + 1)
+}
+
+/// Inner lengths of the `gram` properties: empty, and either side of
+/// every boundary of the accumulation geometry — `LANES` = 8, `STRIPE` =
+/// 32, the tile kernel's `GRAM_K_BLOCK` = 512 and two blocks.
+const GRAM_KS: [usize; 16] = [
+    0, 1, 7, 8, 9, 31, 32, 33, 63, 65, 511, 512, 513, 544, 1023, 1025,
+];
+
+/// `n` rows of length `k` cut from `seed`, with row 0 repeated at the
+/// end (from three rows on) so duplicated rows are always present.
+fn gram_rows(seed: &[f64], n: usize, k: usize) -> Vec<Vec<f64>> {
+    let mut rows: Vec<Vec<f64>> = (0..n).map(|i| seed[i * k..(i + 1) * k].to_vec()).collect();
+    if n >= 3 {
+        rows[n - 1] = rows[0].clone();
+    }
+    rows
+}
+
+fn gram_of(rows: &[Vec<f64>]) -> Matrix {
+    let refs: Vec<&[f64]> = rows.iter().map(Vec::as_slice).collect();
+    tensor::gram(&refs)
+}
+
+/// `gemm_nt(v, v)` in its per-element regime: the rows are padded with
+/// zero rows to 17, past the small-row regime (`rows <= 16` with
+/// `k > 256`), which sums per-128-column partial dots instead.
+fn gemm_nt_gram(rows: &[Vec<f64>], k: usize) -> Vec<f64> {
+    let n = rows.len();
+    let padded = n.max(17);
+    let mut v: Vec<f64> = rows.concat();
+    v.resize(padded * k, 0.0);
+    let mut c = vec![0.0f64; padded * padded];
+    tensor::gemm_nt(&v, &v, &mut c, padded, k, padded);
+    (0..n * n).map(|o| c[(o / n) * padded + o % n]).collect()
 }
 
 proptest! {
@@ -162,6 +198,51 @@ proptest! {
             tensor::gemm_nt_indexed(&features, &rows, &b, &mut c, n);
             c
         });
+    }
+
+    /// The symmetric Gram over borrowed rows: 3x3 register tiles, the
+    /// edge rows past the last whole tile, and every inner length
+    /// boundary, on both tiers.
+    #[test]
+    fn gram_matches_scalar_bits(
+        n in 0usize..11,
+        k_index in 0usize..GRAM_KS.len(),
+        seed in buffer(10 * 1025),
+    ) {
+        let k = GRAM_KS[k_index];
+        let rows = gram_rows(&seed, n, k);
+        assert_tiers_bit_identical("gram", || gram_of(&rows).data);
+    }
+
+    /// Under each tier the Gram is exactly symmetric and equals the
+    /// per-element `gemm_nt(v, v)` entry for entry, bit-for-bit.
+    #[test]
+    fn gram_equals_gemm_nt_and_is_symmetric(
+        n in 0usize..11,
+        k_index in 0usize..GRAM_KS.len(),
+        seed in buffer(10 * 1025),
+    ) {
+        let k = GRAM_KS[k_index];
+        let rows = gram_rows(&seed, n, k);
+        let _guard = tier_lock();
+        for tier in [false, true] {
+            simd::set_enabled(tier);
+            let g = gram_of(&rows);
+            let reference = gemm_nt_gram(&rows, k);
+            simd::reset();
+            prop_assert_eq!((g.rows, g.cols), (n, n));
+            for i in 0..n {
+                for j in 0..n {
+                    let value = g.get(i, j);
+                    prop_assert!(
+                        value.to_bits() == reference[i * n + j].to_bits(),
+                        "simd={} n={} k={} ({}, {}): gram {:?} vs gemm_nt {:?}",
+                        tier, n, k, i, j, value, reference[i * n + j]
+                    );
+                    prop_assert!(value.to_bits() == g.get(j, i).to_bits());
+                }
+            }
+        }
     }
 
     /// `gemm_tn` accumulate mode: `C += Aᵀ · B` on top of a random

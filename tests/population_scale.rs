@@ -72,6 +72,19 @@ fn implicit_config(rounds: usize) -> BflConfig {
     config
 }
 
+/// `run_digest` of the chunk-64 streaming run in
+/// `streaming_single_chunk_matches_materialized_procedure_iv`, recorded
+/// before the symmetric Gram kernel replaced the packed `gemm_nt` one.
+const STREAMING_CHUNK64_DIGEST: &str =
+    "e478abafb0c4f3598eb61631c7a95168140bd3cf069408a09812211ac70b485f";
+
+/// `run_digest` of the chunk-4 run in
+/// `streaming_multi_chunk_composition_is_deterministic` (5-row Gram
+/// inputs: one full register tile plus the edge path), recorded the same
+/// way.
+const STREAMING_CHUNK4_DIGEST: &str =
+    "702627473e8cd90c29cfd30e9dc2ff74a0605865989556745e7a69f6b5dc5b7f";
+
 fn run(config: BflConfig) -> SimulationResult {
     let (train, test) = small_dataset();
     Scenario::from_config(config)
@@ -164,6 +177,11 @@ fn streaming_single_chunk_matches_materialized_procedure_iv() {
 
     let base = run(materialized);
     let folded = run(streaming);
+    assert_eq!(
+        run_digest(&folded),
+        STREAMING_CHUNK64_DIGEST,
+        "the chunk-64 streaming run drifted from its golden digest"
+    );
 
     assert_eq!(base.detection.rows, folded.detection.rows);
     assert_eq!(
@@ -214,6 +232,11 @@ fn streaming_multi_chunk_composition_is_deterministic() {
         run_digest(&first),
         run_digest(&second),
         "streaming composition must be deterministic"
+    );
+    assert_eq!(
+        run_digest(&first),
+        STREAMING_CHUNK4_DIGEST,
+        "the chunk-4 streaming run drifted from its golden digest"
     );
     for round in &first.history.rounds {
         assert!(round.participants >= 10, "quota admits ten per round");
