@@ -34,7 +34,7 @@
 //!
 //! 7. **bigint** — `modpow` and `div_rem` operations/second, fast engine
 //!    vs reference, at RSA-scale operand widths.
-//! 8. **verify-batch** — a round's worth of signature verifications
+//! 8. **parallel-verify** — a round's worth of signature verifications
 //!    fanned out over `bfl_ml::par` vs the serial loop.
 //! 9. **vs-PR2** — current sign/verify rates against the rates recorded
 //!    in `BENCH_PR2.json` (the 32-bit-limb engine on this machine
@@ -86,32 +86,26 @@
 //!     signing on and keys derived lazily at admission, showing keygen
 //!     cost also tracks participants rather than population.
 //!
-//! **Next speed tier** (PR 8, written to `BENCH_PR8.json`): batched RSA
-//! verification, lane-sharded event drains, and per-thread-count scaling
-//! curves:
+//! **Scaling curves** (the `pr8` section, written to
+//! `BENCH_SCALING.json`; the tracked `BENCH_PR8.json` is a frozen record
+//! that also holds rows of the retired batched-verify screen and
+//! lane-sharded event queue, and is never rewritten):
 //!
-//! 17. **batched-verify** — a 1k-upload round's signature checks through
-//!     `KeyStore::verify_batch` (shared Montgomery workspace,
-//!     screen-then-confirm) vs the per-upload `verify` loop, decisions
-//!     asserted identical on a genuine accept/reject mix.
-//! 18. **lane-drain** — the sharded `EventQueue` drained via due batches
-//!     and via parallel per-lane runs vs a single global heap, pop order
-//!     asserted identical across all three.
-//! 19. **scaling table** — sweep / Procedure-II / mining / lane-drain
-//!     fan-outs at thread counts {1, 2, 4, 8}, each cell asserting
-//!     parallel == serial bit-identity before its timer starts.
+//! 17. **scaling table** — sweep / Procedure-II / mining fan-outs at
+//!     thread counts {1, 2, 4, 8}, each cell asserting parallel ==
+//!     serial bit-identity before its timer starts.
 //!
 //! **SIMD compute tier** (PR 10, written to `BENCH_PR10.json`): the
 //! runtime-dispatched AVX2+FMA kernel tier and the allocation-free
 //! steady-state round loop:
 //!
-//! 20. **kernel rows** — every dispatched GEMM/axpy kernel at a
+//! 18. **kernel rows** — every dispatched GEMM/axpy kernel at a
 //!     representative shape, scalar vs SIMD tier, bit-identity asserted
 //!     on fresh outputs before each timed pair (plus a full signed run
 //!     digested under both tiers).
-//! 21. **composites** — local SGD, eval accuracy, and the signed smoke
+//! 19. **composites** — local SGD, eval accuracy, and the signed smoke
 //!     FullBfl run (with its crypto-share shift) under both tiers.
-//! 22. **steady-state allocation** — warmed-up flexible rounds bracketed
+//! 20. **steady-state allocation** — warmed-up flexible rounds bracketed
 //!     with the counting allocator, asserting zero net bytes and blocks
 //!     per round while reporting the transient churn.
 //!
@@ -577,7 +571,7 @@ struct BigintReport {
 
 /// Parallel vs serial verification of one round's signature batch.
 #[derive(Debug, Clone, Serialize)]
-struct VerifyBatchReport {
+struct ParallelVerifyReport {
     batch: usize,
     threads: usize,
     parallel_per_sec: f64,
@@ -602,7 +596,7 @@ struct Pr3Report {
     bigint: BigintReport,
     sign_per_sec: EnginePair,
     verify_per_sec: EnginePair,
-    verify_batch: VerifyBatchReport,
+    parallel_verify: ParallelVerifyReport,
     vs_pr2: Option<Pr2Comparison>,
     fullbfl_rounds_per_sec: EnginePair,
     fullbfl_crypto_share: CryptoShare,
@@ -679,7 +673,7 @@ fn bigint_rates(modulus_bits: usize, reps: usize) -> BigintReport {
     }
 }
 
-fn verify_batch_rates(pair: &RsaKeyPair, batch: usize, reps: usize) -> VerifyBatchReport {
+fn parallel_verify_rates(pair: &RsaKeyPair, batch: usize, reps: usize) -> ParallelVerifyReport {
     let signed: Vec<SignedMessage> = (0..batch)
         .map(|i| {
             sign_message(
@@ -702,7 +696,7 @@ fn verify_batch_rates(pair: &RsaKeyPair, batch: usize, reps: usize) -> VerifyBat
             verify_message(msg, &pair.public).expect("signature verifies");
         }
     });
-    VerifyBatchReport {
+    ParallelVerifyReport {
         batch,
         threads: par::max_threads(),
         parallel_per_sec: parallel,
@@ -762,13 +756,13 @@ fn pr3_section(
     };
 
     eprintln!("measuring parallel verify batch ({reps} reps per mode)...");
-    let verify_batch = verify_batch_rates(&pair, scale.verify_messages.max(32), reps);
+    let parallel_verify = parallel_verify_rates(&pair, scale.verify_messages.max(32), reps);
     eprintln!(
         "  parallel {:>10.0} verif/s ({} threads) | serial {:>10.0} verif/s | {:.2}x",
-        verify_batch.parallel_per_sec,
-        verify_batch.threads,
-        verify_batch.serial_per_sec,
-        verify_batch.speedup
+        parallel_verify.parallel_per_sec,
+        parallel_verify.threads,
+        parallel_verify.serial_per_sec,
+        parallel_verify.speedup
     );
 
     // The PR 2 record only matches at the tracked modulus size; smoke
@@ -836,7 +830,7 @@ fn pr3_section(
         bigint,
         sign_per_sec: sign,
         verify_per_sec: verify,
-        verify_batch,
+        parallel_verify,
         vs_pr2,
         fullbfl_rounds_per_sec: fullbfl,
         fullbfl_crypto_share: share,
@@ -1396,33 +1390,8 @@ fn pr7_section(
 }
 
 // ---------------------------------------------------------------------------
-// PR 8: batched RSA verification, lane-sharded drains, scaling curves.
+// Thread-count scaling curves (`pr8` section).
 // ---------------------------------------------------------------------------
-
-/// Batched screen-then-confirm verification vs the per-upload loop, on
-/// the same accept/reject mix.
-#[derive(Debug, Clone, Serialize)]
-struct BatchVerifyBench {
-    uploads: usize,
-    modulus_bits: usize,
-    distinct_keys: usize,
-    corrupted: usize,
-    per_upload_verifies_per_sec: f64,
-    batched_verifies_per_sec: f64,
-    speedup: f64,
-}
-
-/// Event-drain throughput of the sharded queue against a single global
-/// heap, on a commission-wave-shaped stream.
-#[derive(Debug, Clone, Serialize)]
-struct LaneDrainBench {
-    events: usize,
-    lanes: usize,
-    global_heap_events_per_sec: f64,
-    lane_batch_events_per_sec: f64,
-    parallel_drain_events_per_sec: f64,
-    batch_speedup_over_global: f64,
-}
 
 /// One thread-count row of the scaling table. Every cell asserts
 /// parallel == serial bit-identity before its timer starts.
@@ -1432,184 +1401,17 @@ struct ScalingRow {
     sweep_scenarios_per_sec: f64,
     upload_fanout_uploads_per_sec: f64,
     mining_hashes_per_sec: f64,
-    lane_drain_events_per_sec: f64,
 }
 
 #[derive(Debug, Clone, Serialize)]
 struct Pr8Report {
     description: String,
     host_threads: usize,
-    batched_verify: BatchVerifyBench,
-    lane_drain: LaneDrainBench,
     scaling: Vec<ScalingRow>,
 }
 
-/// A 1k-upload (full scale) round's signature checks, per-upload vs
-/// batched. The mix includes corrupted envelopes so the equality assert
-/// covers both verdicts.
-fn batched_verify_bench(uploads: usize, reps: usize) -> BatchVerifyBench {
-    use bfl_crypto::{BatchVerifier, KeyStore};
-
-    let modulus_bits = 256;
-    let distinct_keys = 16.min(uploads.max(1));
-    let mut store = KeyStore::new();
-    let mut rng = StdRng::seed_from_u64(0xB8_2026);
-    let ids: Vec<u64> = (0..distinct_keys as u64).collect();
-    let pairs = store
-        .provision(&mut rng, &ids, modulus_bits)
-        .expect("bench keys provision");
-
-    let mut messages: Vec<SignedMessage> = (0..uploads)
-        .map(|i| {
-            let id = (i % distinct_keys) as u64;
-            let payload = format!("round upload {i}").into_bytes();
-            sign_message(id, &payload, &pairs[&id].private)
-        })
-        .collect();
-    // Corrupt every 17th upload so the round is a genuine accept/reject mix.
-    let mut corrupted = 0;
-    for message in messages.iter_mut().step_by(17).skip(1) {
-        message.payload[0] ^= 0x5A;
-        corrupted += 1;
-    }
-
-    let per_upload: Vec<bool> = messages.iter().map(|m| store.verify(m).is_ok()).collect();
-    let refs: Vec<&SignedMessage> = messages.iter().collect();
-    let mut verifier = BatchVerifier::new();
-    let batched: Vec<bool> = store
-        .verify_batch(&refs, &mut verifier)
-        .into_iter()
-        .map(|v| v.is_ok())
-        .collect();
-    assert_eq!(
-        per_upload, batched,
-        "batched verification must reach the per-upload verdicts exactly"
-    );
-    assert!(per_upload.iter().filter(|ok| !**ok).count() >= corrupted);
-
-    let per_upload_rate = rate(uploads as f64, reps, || {
-        for message in &messages {
-            black_box(store.verify(message).is_ok());
-        }
-    });
-    let batched_rate = rate(uploads as f64, reps, || {
-        let mut verifier = BatchVerifier::new();
-        black_box(store.verify_batch(&refs, &mut verifier));
-    });
-    let bench = BatchVerifyBench {
-        uploads,
-        modulus_bits,
-        distinct_keys,
-        corrupted,
-        per_upload_verifies_per_sec: per_upload_rate,
-        batched_verifies_per_sec: batched_rate,
-        speedup: batched_rate / per_upload_rate,
-    };
-    eprintln!(
-        "  batched-verify {uploads} uploads: per-upload {per_upload_rate:>9.0}/s | batched \
-         {batched_rate:>9.0}/s | {:.2}x",
-        bench.speedup
-    );
-    bench
-}
-
-/// Synthesizes a commission-wave event stream shaped like a
-/// 10k-participant flexible round: one big zero-delay wave per round
-/// plus spread arrivals.
-fn commission_wave(events: usize) -> Vec<(f64, u64)> {
-    (0..events as u64)
-        .map(|i| {
-            let round = i / 2_048;
-            let jitter = (i.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 40) % 97;
-            // Half of each round's events land exactly on the round start
-            // (the commission wave); the rest spread over the round.
-            let time = if i % 2 == 0 {
-                round as f64 * 30.0
-            } else {
-                round as f64 * 30.0 + jitter as f64 * 0.25
-            };
-            (time, i)
-        })
-        .collect()
-}
-
-/// Global-heap vs lane-sharded vs parallel lane drains, order-identity
-/// asserted between all three before timing.
-fn lane_drain_bench(events: usize, reps: usize) -> LaneDrainBench {
-    use bfl_net::{merge_runs, EventQueue, DEFAULT_LANES};
-
-    let pushes = commission_wave(events);
-    let fill = |lanes: usize| {
-        let mut q = EventQueue::with_lanes(lanes);
-        for &(t, p) in &pushes {
-            q.push(t, p);
-        }
-        q
-    };
-    let drain_pop = |mut q: EventQueue<u64>| {
-        let mut order = Vec::with_capacity(events);
-        while let Some(e) = q.pop() {
-            order.push((e.time_s, e.seq, e.payload));
-        }
-        order
-    };
-
-    // Order identity across all three drain strategies.
-    let global_order = drain_pop(fill(1));
-    let sharded_order = drain_pop(fill(DEFAULT_LANES));
-    assert_eq!(global_order, sharded_order, "sharding is invisible to pops");
-    let mut batch_order = Vec::with_capacity(events);
-    {
-        let mut q = fill(DEFAULT_LANES);
-        let mut buf = Vec::new();
-        while q.pop_due_batch(&mut buf) > 0 {
-            batch_order.extend(buf.drain(..).map(|e| (e.time_s, e.seq, e.payload)));
-        }
-    }
-    assert_eq!(global_order, batch_order, "due batches preserve pop order");
-    let merged: Vec<(f64, u64, u64)> = merge_runs(fill(DEFAULT_LANES).into_lane_runs_parallel(4))
-        .into_iter()
-        .map(|e| (e.time_s, e.seq, e.payload))
-        .collect();
-    assert_eq!(
-        global_order, merged,
-        "parallel lane drains merge identically"
-    );
-
-    let global_rate = rate(events as f64, reps, || {
-        black_box(drain_pop(fill(1)));
-    });
-    let batch_rate = rate(events as f64, reps, || {
-        let mut q = fill(DEFAULT_LANES);
-        let mut buf = Vec::new();
-        while q.pop_due_batch(&mut buf) > 0 {
-            black_box(buf.len());
-            buf.clear();
-        }
-    });
-    let parallel_rate = rate(events as f64, reps, || {
-        black_box(merge_runs(
-            fill(DEFAULT_LANES).into_lane_runs_parallel(par::max_threads()),
-        ));
-    });
-    let bench = LaneDrainBench {
-        events,
-        lanes: DEFAULT_LANES,
-        global_heap_events_per_sec: global_rate,
-        lane_batch_events_per_sec: batch_rate,
-        parallel_drain_events_per_sec: parallel_rate,
-        batch_speedup_over_global: batch_rate / global_rate,
-    };
-    eprintln!(
-        "  lane-drain {events} events: global {global_rate:>10.0}/s | batched lanes \
-         {batch_rate:>10.0}/s | parallel {parallel_rate:>10.0}/s | {:.2}x",
-        bench.batch_speedup_over_global
-    );
-    bench
-}
-
-/// One scaling row: sweep, Procedure-II fan-out, mining, and lane drain
-/// at an explicit thread count, each cell asserted bit-identical to its
+/// One scaling row: sweep, Procedure-II fan-out, and mining at an
+/// explicit thread count, each cell asserted bit-identical to its
 /// serial twin before its timer starts.
 fn scaling_row(
     data: &(Dataset, Dataset),
@@ -1617,14 +1419,13 @@ fn scaling_row(
     reps: usize,
     rounds: usize,
     uploads: usize,
-    events: usize,
 ) -> ScalingRow {
     use bfl_chain::{Block, Miner, PowConfig};
     use bfl_core::procedures::upload::upload_gradients;
     use bfl_crypto::KeyStore;
     use bfl_fl::client::LocalUpdate;
     use bfl_ml::optimizer::LocalTrainingStats;
-    use bfl_net::{merge_runs, EventQueue, Topology, DEFAULT_LANES};
+    use bfl_net::Topology;
 
     // Sweep cell.
     let grid = scenario_grid(Scale::Smoke, rounds);
@@ -1704,73 +1505,35 @@ fn scaling_row(
         black_box(mine(threads));
     });
 
-    // Lane-drain cell.
-    let pushes = commission_wave(events);
-    let fill = || {
-        let mut q = EventQueue::with_lanes(DEFAULT_LANES);
-        for &(t, p) in &pushes {
-            q.push(t, p);
-        }
-        q
-    };
-    let serial_runs = fill().into_lane_runs();
-    assert_eq!(
-        fill().into_lane_runs_parallel(threads),
-        serial_runs,
-        "lane drains must be bit-identical at threads={threads}"
-    );
-    let drain_rate = rate(events as f64, reps, || {
-        black_box(merge_runs(fill().into_lane_runs_parallel(threads)));
-    });
-
     let row = ScalingRow {
         threads,
         sweep_scenarios_per_sec: sweep_rate,
         upload_fanout_uploads_per_sec: fanout_rate,
         mining_hashes_per_sec: mining_rate,
-        lane_drain_events_per_sec: drain_rate,
     };
     eprintln!(
         "  threads {threads}: sweep {sweep_rate:>7.2}/s | proc-II {fanout_rate:>8.0}/s | \
-         mining {mining_rate:>9.0} H/s | lane-drain {drain_rate:>10.0}/s"
+         mining {mining_rate:>9.0} H/s"
     );
     row
 }
 
-/// The PR 8 speed-tier section: batched verification, sharded event
-/// drains, and the per-thread-count scaling table.
-fn pr8_section(
-    data: &(Dataset, Dataset),
-    reps: usize,
-    rounds: usize,
-    uploads: usize,
-    events: usize,
-) -> Pr8Report {
-    eprintln!("measuring batched RSA verification ({uploads} uploads)...");
-    let batched_verify = batched_verify_bench(uploads, reps);
-    eprintln!("measuring event-lane drains ({events} events)...");
-    let lane_drain = lane_drain_bench(events, reps);
+/// The `pr8` section: the per-thread-count scaling table over a
+/// 64-upload Procedure-II round.
+fn pr8_section(data: &(Dataset, Dataset), reps: usize, rounds: usize) -> Pr8Report {
     eprintln!("running the thread-count scaling table...");
     let scaling: Vec<ScalingRow> = [1usize, 2, 4, 8]
         .iter()
         .map(|&threads| {
-            par::with_thread_limit(threads, || {
-                scaling_row(data, threads, reps, rounds, 64.min(uploads), events)
-            })
+            par::with_thread_limit(threads, || scaling_row(data, threads, reps, rounds, 64))
         })
         .collect();
 
     Pr8Report {
-        description: "Next speed tier: batched screen-then-confirm RSA verification over a \
-                      shared Montgomery workspace vs the per-upload loop (decisions asserted \
-                      identical), lane-sharded event queue drains vs the global heap (pop order \
-                      asserted identical), and sweep / Procedure-II / mining / lane-drain \
-                      fan-outs at thread counts {1,2,4,8} with parallel == serial bit-identity \
-                      asserted per cell, same process/machine"
+        description: "Sweep / Procedure-II / mining fan-outs at thread counts {1,2,4,8} with \
+                      parallel == serial bit-identity asserted per cell, same process/machine"
             .to_string(),
         host_threads: par::max_threads(),
-        batched_verify,
-        lane_drain,
         scaling,
     }
 }
@@ -2280,7 +2043,7 @@ fn main() {
         let pr5 = pr5_section(&crypto_data, reps, 3);
         let pr6 = pr6_section(&crypto_data, reps, 3);
         let pr7 = pr7_section(&crypto_data, 10_000, 2, 128);
-        let pr8 = pr8_section(&crypto_data, reps, 2, 1_000, 200_000);
+        let pr8 = pr8_section(&crypto_data, reps, 2);
         let pr10 = pr10_section(&crypto_data, reps, 3, true);
         write_report("BENCH_PR1.json", &ml);
         write_report("BENCH_CRYPTO.json", &crypto);
@@ -2289,7 +2052,7 @@ fn main() {
         write_report("BENCH_PR5.json", &pr5);
         write_report("BENCH_PR6.json", &pr6);
         write_report("BENCH_PR7.json", &pr7);
-        write_report("BENCH_PR8.json", &pr8);
+        write_report("BENCH_SCALING.json", &pr8);
         write_report("BENCH_PR10.json", &pr10);
     });
     registry.register("ml", move || {
@@ -2322,10 +2085,7 @@ fn main() {
     });
     registry.register("pr8", move || {
         let data = dataset(Scale::Smoke);
-        write_report(
-            "BENCH_PR8.json",
-            &pr8_section(&data, reps, 2, 1_000, 200_000),
-        );
+        write_report("BENCH_SCALING.json", &pr8_section(&data, reps, 2));
     });
     registry.register("pr10", move || {
         let data = dataset(Scale::Smoke);
@@ -2353,10 +2113,9 @@ fn main() {
         // rounds; the flatness assertion inside the section still
         // fires, so CI catches any O(population) regression.
         let pr7 = pr7_section(&data, 256, 1, 64);
-        // The PR 8 cell at reduced scale: the bit-identity asserts
-        // (batched verdicts, pop order, per-thread-count cells) all
-        // still fire, so CI catches determinism regressions cheaply.
-        let pr8 = pr8_section(&data, reps, 2, 96, 20_000);
+        // The scaling table: the per-thread-count bit-identity
+        // asserts fire, so CI catches determinism regressions cheaply.
+        let pr8 = pr8_section(&data, reps, 2);
         // The PR 10 cell without the speedup floors (one rep on a shared
         // CI box is too noisy to gate on ratios), but with every
         // bit-identity and zero-net-allocation assertion still firing.

@@ -72,32 +72,14 @@ impl Mempool {
     ///
     /// `envelope` is the signed message that carried `tx` over the network;
     /// the mempool does not interpret its payload, it only checks the
-    /// signature (the paper's Figure 2 verification step).
+    /// signature (the paper's Figure 2 verification step). The caller's
+    /// [`BatchVerifier`] lets an arrival loop draining many envelopes
+    /// amortise one Montgomery workspace across all of them.
     ///
     /// Returns `Ok(true)` when the transaction was admitted and
     /// `Ok(false)` when it was a retransmit of a pending local-gradient
     /// upload for the same `(round, client)` and was ignored.
     pub fn submit_signed(
-        &mut self,
-        tx: Transaction,
-        envelope: &SignedMessage,
-        keys: &KeyStore,
-    ) -> Result<bool, CryptoError> {
-        keys.verify(envelope)?;
-        if let Some(key) = upload_key(&tx) {
-            if !self.upload_keys.insert(key) {
-                return Ok(false);
-            }
-        }
-        self.pending.push_back(tx);
-        Ok(true)
-    }
-
-    /// [`Mempool::submit_signed`] with a caller-supplied [`BatchVerifier`],
-    /// so an arrival loop draining many envelopes amortises one Montgomery
-    /// workspace across all of them. Decision-identical to
-    /// [`Mempool::submit_signed`].
-    pub fn submit_signed_with(
         &mut self,
         tx: Transaction,
         envelope: &SignedMessage,
@@ -112,36 +94,6 @@ impl Mempool {
         }
         self.pending.push_back(tx);
         Ok(true)
-    }
-
-    /// Admits a batch of signed transactions, verifying all envelopes as
-    /// one [`BatchVerifier::verify_batch`] call before any admission.
-    /// Returns one [`Mempool::submit_signed`]-shaped verdict per input, in
-    /// input order — semantics identical to submitting the pairs one at a
-    /// time (verification cannot observe mempool state, and dedup runs in
-    /// input order after the verdicts are in).
-    pub fn submit_signed_batch(
-        &mut self,
-        uploads: Vec<(Transaction, &SignedMessage)>,
-        keys: &KeyStore,
-        verifier: &mut BatchVerifier,
-    ) -> Vec<Result<bool, CryptoError>> {
-        let envelopes: Vec<&SignedMessage> = uploads.iter().map(|(_, env)| *env).collect();
-        let verdicts = keys.verify_batch(&envelopes, verifier);
-        uploads
-            .into_iter()
-            .zip(verdicts)
-            .map(|((tx, _), verdict)| {
-                verdict?;
-                if let Some(key) = upload_key(&tx) {
-                    if !self.upload_keys.insert(key) {
-                        return Ok(false);
-                    }
-                }
-                self.pending.push_back(tx);
-                Ok(true)
-            })
-            .collect()
     }
 
     /// Removes the pending local-gradient upload of `(round, client)`,
@@ -323,54 +275,20 @@ mod tests {
         let pairs = store.provision(&mut rng, &[1, 2], 256).unwrap();
 
         let mut pool = Mempool::new();
+        let mut verifier = BatchVerifier::new();
         let tx = gradient_tx(1, 16);
         let envelope = sign_message(1, b"serialized gradient", &pairs[&1].private);
-        pool.submit_signed(tx.clone(), &envelope, &store).unwrap();
+        pool.submit_signed(tx.clone(), &envelope, &store, &mut verifier)
+            .unwrap();
         assert_eq!(pool.len(), 1);
 
         // Client 2 forging client 1's identity is rejected.
         let forged = sign_message(1, b"poison", &pairs[&2].private);
-        let err = pool.submit_signed(tx, &forged, &store).unwrap_err();
+        let err = pool
+            .submit_signed(tx, &forged, &store, &mut verifier)
+            .unwrap_err();
         assert_eq!(err, CryptoError::InvalidSignature);
         assert_eq!(pool.len(), 1);
-    }
-
-    #[test]
-    fn batch_submission_matches_one_at_a_time() {
-        let mut store = KeyStore::new();
-        let mut rng = StdRng::seed_from_u64(45);
-        let pairs = store.provision(&mut rng, &[1, 2, 3], 256).unwrap();
-
-        // Valid uploads for clients 1..3, a forged envelope for client 2,
-        // a retransmit of client 1, and an unknown signer — the batch and
-        // the one-at-a-time pools must agree verdict-for-verdict.
-        let good1 = sign_message(1, b"upload", &pairs[&1].private);
-        let forged2 = sign_message(2, b"upload", &pairs[&3].private);
-        let good3 = sign_message(3, b"upload", &pairs[&3].private);
-        let ghost = sign_message(9, b"upload", &pairs[&1].private);
-        let uploads = vec![
-            (gradient_tx(1, 16), &good1),
-            (gradient_tx(2, 16), &forged2),
-            (gradient_tx(3, 16), &good3),
-            (gradient_tx(1, 16), &good1),
-            (gradient_tx(9, 16), &ghost),
-        ];
-
-        let mut serial = Mempool::new();
-        let mut verifier = BatchVerifier::new();
-        let expected: Vec<_> = uploads
-            .iter()
-            .map(|(tx, env)| serial.submit_signed_with(tx.clone(), env, &store, &mut verifier))
-            .collect();
-
-        let mut batched = Mempool::new();
-        let got = batched.submit_signed_batch(uploads, &store, &mut verifier);
-        assert_eq!(got, expected);
-        assert_eq!(got[0], Ok(true));
-        assert_eq!(got[1], Err(CryptoError::InvalidSignature));
-        assert_eq!(got[3], Ok(false), "retransmit deduplicated");
-        assert_eq!(got[4], Err(CryptoError::UnknownSigner(9)));
-        assert_eq!(batched.len(), serial.len());
     }
 
     #[test]
@@ -380,21 +298,32 @@ mod tests {
         let pairs = store.provision(&mut rng, &[1, 2], 256).unwrap();
 
         let mut pool = Mempool::new();
+        let mut verifier = BatchVerifier::new();
         let tx = gradient_tx(1, 16);
         let envelope = sign_message(1, b"upload r1", &pairs[&1].private);
-        assert!(pool.submit_signed(tx.clone(), &envelope, &store).unwrap());
+        assert!(pool
+            .submit_signed(tx.clone(), &envelope, &store, &mut verifier)
+            .unwrap());
         // The retry + the duplicated link both deliver the same upload
         // again: recognised and ignored, not double-counted.
-        assert!(!pool.submit_signed(tx.clone(), &envelope, &store).unwrap());
-        assert!(!pool.submit_signed(tx, &envelope, &store).unwrap());
+        assert!(!pool
+            .submit_signed(tx.clone(), &envelope, &store, &mut verifier)
+            .unwrap());
+        assert!(!pool
+            .submit_signed(tx, &envelope, &store, &mut verifier)
+            .unwrap());
         assert_eq!(pool.len(), 1);
 
         // A different client or a different round is not a duplicate.
         let other_client = gradient_tx(2, 16);
         let env2 = sign_message(2, b"upload r1", &pairs[&2].private);
-        assert!(pool.submit_signed(other_client, &env2, &store).unwrap());
+        assert!(pool
+            .submit_signed(other_client, &env2, &store, &mut verifier)
+            .unwrap());
         let later_round = Transaction::local_gradient(1, 2, vec![0u8; 16]);
-        assert!(pool.submit_signed(later_round, &envelope, &store).unwrap());
+        assert!(pool
+            .submit_signed(later_round, &envelope, &store, &mut verifier)
+            .unwrap());
         assert_eq!(pool.len(), 3);
 
         // Draining frees the keys: a fresh upload for the same round is
@@ -402,7 +331,9 @@ mod tests {
         let drained = pool.drain_all();
         assert_eq!(drained.len(), 3);
         let tx = gradient_tx(1, 16);
-        assert!(pool.submit_signed(tx, &envelope, &store).unwrap());
+        assert!(pool
+            .submit_signed(tx, &envelope, &store, &mut verifier)
+            .unwrap());
         assert_eq!(pool.len(), 1);
     }
 
@@ -434,9 +365,10 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(43);
         let pair = RsaKeyPair::generate(&mut rng, 256).unwrap();
         let mut pool = Mempool::new();
+        let mut verifier = BatchVerifier::new();
         let envelope = sign_message(7, b"payload", &pair.private);
         let err = pool
-            .submit_signed(gradient_tx(7, 4), &envelope, &store)
+            .submit_signed(gradient_tx(7, 4), &envelope, &store, &mut verifier)
             .unwrap_err();
         assert_eq!(err, CryptoError::UnknownSigner(7));
     }
@@ -477,8 +409,9 @@ mod tests {
                 envelope.payload[index] ^= flip;
 
                 let mut pool = Mempool::new();
+                let mut verifier = BatchVerifier::new();
                 let err = pool
-                    .submit_signed(gradient_tx(1, 16), &envelope, store)
+                    .submit_signed(gradient_tx(1, 16), &envelope, store, &mut verifier)
                     .unwrap_err();
                 prop_assert_eq!(err, CryptoError::InvalidSignature);
                 prop_assert!(pool.is_empty());

@@ -390,6 +390,12 @@ impl BflConfig {
         if self.reward_base < 0.0 {
             return Err(CoreError::invalid("reward base must be non-negative"));
         }
+        let hash_rate = self.delay.miner_hash_rate;
+        if !(hash_rate.is_finite() && hash_rate > 0.0) {
+            return Err(CoreError::invalid(format!(
+                "miner hash rate must be finite and positive (got {hash_rate})"
+            )));
+        }
         if self.rsa_modulus_bits < bfl_crypto::rsa::MIN_MODULUS_BITS {
             return Err(CoreError::invalid(format!(
                 "RSA modulus too small: {} bits (minimum {})",
@@ -563,6 +569,15 @@ mod tests {
             },
             "reward base",
         );
+    }
+
+    #[test]
+    fn bad_miner_hash_rate_rejected() {
+        for hash_rate in [0.0, -5.0, f64::NAN, f64::INFINITY] {
+            let mut config = BflConfig::default();
+            config.delay.miner_hash_rate = hash_rate;
+            assert_rejected(config, "miner hash rate");
+        }
     }
 
     #[test]

@@ -849,8 +849,8 @@ fn step_flexible_inner(
     let stranded_mark = rt.stranded.len();
     let mut quota_time = round_start;
     let mut deadline_hit = false;
-    // Same-timestamp events are drained from the lane-sharded queue as one
-    // batch (`pop_due_batch`) and fed through the pump from `due`. The
+    // Same-timestamp events are drained from the queue as one batch
+    // (`pop_due_batch`) and fed through the pump from `due`. The
     // quota and deadline are re-checked before *each* member — exactly the
     // checks the one-at-a-time loop ran per pop — and whatever the round
     // seals without goes back via `reinsert` with its original sequence
@@ -1736,7 +1736,7 @@ fn admit_upload(
             );
             match rt
                 .mempool
-                .submit_signed_with(tx, envelope, store, &mut rt.verifier)
+                .submit_signed(tx, envelope, store, &mut rt.verifier)
             {
                 Err(_) => return EventKind::UploadRejected,
                 Ok(false) => return EventKind::DuplicateIgnored,

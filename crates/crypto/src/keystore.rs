@@ -86,38 +86,6 @@ impl KeyStore {
         verifier.confirm(message, key)
     }
 
-    /// Verifies a slice of signed messages as a batch, returning one
-    /// verdict per message in input order. Unknown signers are reported
-    /// per slot; the known-signer remainder goes through
-    /// [`BatchVerifier::verify_batch`], whose screen-then-confirm path
-    /// keeps every per-message decision identical to [`KeyStore::verify`].
-    pub fn verify_batch(
-        &self,
-        messages: &[&SignedMessage],
-        verifier: &mut BatchVerifier,
-    ) -> Vec<Result<(), CryptoError>> {
-        let mut results: Vec<Option<Result<(), CryptoError>>> =
-            messages.iter().map(|_| None).collect();
-        let mut known = Vec::with_capacity(messages.len());
-        let mut known_slots = Vec::with_capacity(messages.len());
-        for (slot, message) in messages.iter().enumerate() {
-            match self.keys.get(&message.signer) {
-                Some(key) => {
-                    known.push((*message, key));
-                    known_slots.push(slot);
-                }
-                None => results[slot] = Some(Err(CryptoError::UnknownSigner(message.signer))),
-            }
-        }
-        for (slot, verdict) in known_slots.into_iter().zip(verifier.verify_batch(&known)) {
-            results[slot] = Some(verdict);
-        }
-        results
-            .into_iter()
-            .map(|r| r.expect("every slot receives a verdict"))
-            .collect()
-    }
-
     /// Convenience setup: generates key pairs for `client_ids`, registers the
     /// public halves, and returns the private pairs keyed by client id.
     pub fn provision<R: Rng + ?Sized>(
@@ -332,25 +300,6 @@ mod tests {
         assert_eq!(restored.len(), 2);
         let msg = sign_message(4, b"gradient", &pairs[&4].private);
         restored.verify(&msg).expect("restored store verifies");
-    }
-
-    #[test]
-    fn verify_batch_mixes_unknown_signers_with_batch_verdicts() {
-        let mut store = KeyStore::new();
-        let mut rng = StdRng::seed_from_u64(8);
-        let pairs = store.provision(&mut rng, &[1, 2], 256).unwrap();
-        let good = sign_message(1, b"gradient", &pairs[&1].private);
-        let ghost = sign_message(9, b"ghost", &pairs[&1].private);
-        let mut forged = sign_message(2, b"gradient", &pairs[&2].private);
-        forged.payload = b"poisoned".to_vec();
-        let batch = [&good, &ghost, &forged];
-        let mut verifier = BatchVerifier::new();
-        let verdicts = store.verify_batch(&batch, &mut verifier);
-        let singles: Vec<_> = batch.iter().map(|m| store.verify(m)).collect();
-        assert_eq!(verdicts, singles);
-        assert_eq!(verdicts[0], Ok(()));
-        assert_eq!(verdicts[1], Err(CryptoError::UnknownSigner(9)));
-        assert_eq!(verdicts[2], Err(CryptoError::InvalidSignature));
     }
 
     #[test]

@@ -8,15 +8,15 @@
 //! modulo `n`, is what gets exponentiated.
 //!
 //! [`verify_message`] is the one-shot entry point; [`BatchVerifier`] is
-//! the amortized one. A round's uploads arrive as a batch, and the
-//! one-shot path pays roughly a dozen small allocations per call
-//! (workspace buffers for the Montgomery convert/pow/recover chain, the
-//! digest preimage, the explicit digest reduction). The batch verifier
-//! keeps a single prepared [`MontWorkspace`] plus a reusable preimage
-//! buffer across the whole batch, compares in the Montgomery domain
-//! (skipping the recover multiply), and gets the squaring-specialised
-//! reduction that prepared workspaces unlock — same accept/reject
-//! decision per upload, measurably less constant overhead per upload.
+//! the amortized one that the miner's admission loop runs. The one-shot
+//! path pays roughly a dozen small allocations per call (workspace
+//! buffers for the Montgomery convert/pow/recover chain, the digest
+//! preimage, the explicit digest reduction). The verifier keeps a single
+//! prepared [`MontWorkspace`] plus a reusable preimage buffer across
+//! every message it checks, compares in the Montgomery domain (skipping
+//! the recover multiply), and gets the squaring-specialised reduction
+//! that prepared workspaces unlock — same accept/reject decision per
+//! upload, measurably less constant overhead per upload.
 
 use crate::bigint::BigUint;
 use crate::engine;
@@ -25,7 +25,6 @@ use crate::montgomery::MontWorkspace;
 use crate::rsa::{RsaPrivateKey, RsaPublicKey};
 use crate::sha256::sha256;
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
 
 /// A detached RSA signature over a SHA-256 digest.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -95,34 +94,11 @@ pub fn verify_message(message: &SignedMessage, key: &RsaPublicKey) -> Result<(),
     }
 }
 
-/// Exponent bit length at which the random-linear-combination screen
-/// becomes arithmetically profitable. The screen replaces one
-/// full-exponent pow per signature with one per *batch* plus two 64-bit
-/// coefficient pows per signature (~96 Montgomery multiplies each side);
-/// with the fixed public exponent 65537 a direct confirm is only ~19
-/// multiplies, so screening a standard-key batch would cost more than it
-/// saves. Long-exponent key material (raw-RSA verification against a
-/// full-size exponent) clears this threshold comfortably.
-const SCREEN_MIN_EXPONENT_BITS: usize = 128;
-
-/// Verifies uploads in batches, amortizing the per-call setup that
-/// [`verify_message`] pays: one prepared [`MontWorkspace`] (re-fitted
-/// only when the key width changes) and one preimage buffer serve the
-/// whole batch, and comparisons happen in the Montgomery domain.
-///
-/// [`BatchVerifier::verify_batch`] additionally runs a screen-then-confirm
-/// pass: signatures sharing a `(modulus, exponent)` pair are screened with
-/// a random linear combination — coefficients drawn Fiat–Shamir-style
-/// from a SHA-256 transcript of the batch, so they are deterministic for
-/// a given batch yet unpredictable to anything that produced the
-/// signatures — and only on screen failure does it fall back to
-/// per-signature confirmation. A passing screen accepts the group
-/// outright (soundness error 2^-64 per forged group against the
-/// content-derived coefficients); a failing screen changes nothing about
-/// the final decisions, because every member is then confirmed
-/// individually. The screen only engages where it is profitable
-/// (exponents of at least 128 bits); standard e = 65537 batches always take
-/// the amortized per-signature confirm, whose decisions are *exactly*
+/// Verifies uploads one after another through shared buffers,
+/// amortizing the per-call setup that [`verify_message`] pays: one
+/// prepared [`MontWorkspace`] (re-fitted only when the key width
+/// changes) and one preimage buffer serve every message, and comparisons
+/// happen in the Montgomery domain. Per-message decisions are *exactly*
 /// those of [`verify_message`].
 ///
 /// In [`engine::set_reference_mode`] the verifier delegates every
@@ -132,9 +108,6 @@ const SCREEN_MIN_EXPONENT_BITS: usize = 128;
 pub struct BatchVerifier {
     ws: MontWorkspace,
     preimage: Vec<u8>,
-    confirms: u64,
-    screen_passes: u64,
-    screen_fallbacks: u64,
 }
 
 impl BatchVerifier {
@@ -161,7 +134,6 @@ impl BatchVerifier {
         message: &SignedMessage,
         key: &RsaPublicKey,
     ) -> Result<(), CryptoError> {
-        self.confirms += 1;
         if engine::reference_mode() {
             return verify_message(message, key);
         }
@@ -181,132 +153,6 @@ impl BatchVerifier {
         } else {
             Err(CryptoError::InvalidSignature)
         }
-    }
-
-    /// Verifies a batch, returning one verdict per message in input
-    /// order. Per-message decisions match [`verify_message`] (see the
-    /// type-level docs for the screen's soundness bound).
-    pub fn verify_batch(
-        &mut self,
-        batch: &[(&SignedMessage, &RsaPublicKey)],
-    ) -> Vec<Result<(), CryptoError>> {
-        let mut results: Vec<Option<Result<(), CryptoError>>> =
-            batch.iter().map(|_| None).collect();
-        if engine::reference_mode() {
-            for (slot, (message, key)) in results.iter_mut().zip(batch) {
-                self.confirms += 1;
-                *slot = Some(verify_message(message, key));
-            }
-            return results.into_iter().map(|r| r.expect("all set")).collect();
-        }
-        // Fast path: when no key clears the screen threshold the
-        // grouping buys nothing (the screen would never engage), so the
-        // per-message slice-keyed map lookups are pure overhead —
-        // confirm straight through in input order instead.
-        if batch
-            .iter()
-            .all(|(_, key)| key.exponent().bit_len() < SCREEN_MIN_EXPONENT_BITS)
-        {
-            return batch
-                .iter()
-                .map(|(message, key)| self.confirm(message, key))
-                .collect();
-        }
-        // Group by (modulus, exponent): the screen's product identity
-        // only holds within one key equation.
-        let mut groups: BTreeMap<(&[u64], &[u64]), Vec<usize>> = BTreeMap::new();
-        for (i, (_, key)) in batch.iter().enumerate() {
-            groups
-                .entry((key.modulus().limbs(), key.exponent().limbs()))
-                .or_default()
-                .push(i);
-        }
-        let group_lists: Vec<Vec<usize>> = groups.into_values().collect();
-        for indices in group_lists {
-            let key = batch[indices[0]].1;
-            let screenable = indices.len() >= 2
-                && key.exponent().bit_len() >= SCREEN_MIN_EXPONENT_BITS
-                && key.montgomery_ctx().is_some();
-            if screenable && self.screen_group(batch, &indices) {
-                self.screen_passes += 1;
-                for &i in &indices {
-                    results[i] = Some(Ok(()));
-                }
-                continue;
-            }
-            if screenable {
-                self.screen_fallbacks += 1;
-            }
-            for &i in &indices {
-                let (message, key) = batch[i];
-                results[i] = Some(self.confirm(message, key));
-            }
-        }
-        results.into_iter().map(|r| r.expect("all set")).collect()
-    }
-
-    /// Random-linear-combination screen over one same-key group: checks
-    /// `(∏ s_i^{r_i})^e == ∏ d_i^{r_i} (mod n)` for Fiat–Shamir 64-bit
-    /// coefficients `r_i`. `true` means every member verifies (up to the
-    /// 2^-64 soundness error against content-derived coefficients);
-    /// `false` means at least one member is dubious and the caller must
-    /// confirm individually.
-    fn screen_group(
-        &mut self,
-        batch: &[(&SignedMessage, &RsaPublicKey)],
-        indices: &[usize],
-    ) -> bool {
-        let key = batch[indices[0]].1;
-        let ctx = key.montgomery_ctx().expect("caller checked");
-        let exponent = key.exponent().clone();
-
-        // Transcript: every member's signer, digest, and signature bytes.
-        let mut digests = Vec::with_capacity(indices.len());
-        let mut transcript = Vec::new();
-        for &i in indices {
-            let (message, _) = batch[i];
-            let digest = self.digest32(message.signer, &message.payload);
-            transcript.extend_from_slice(&message.signer.to_be_bytes());
-            transcript.extend_from_slice(&digest);
-            transcript.extend_from_slice(&(message.signature.bytes.len() as u64).to_be_bytes());
-            transcript.extend_from_slice(&message.signature.bytes);
-            digests.push(digest);
-        }
-        let seed = sha256(&transcript);
-
-        let mut sig_acc = ctx.one();
-        let mut digest_acc = ctx.one();
-        for (slot, &i) in indices.iter().enumerate() {
-            let (message, _) = batch[i];
-            let mut coeff_input = Vec::with_capacity(40);
-            coeff_input.extend_from_slice(&seed);
-            coeff_input.extend_from_slice(&(slot as u64).to_be_bytes());
-            let coeff_bytes = sha256(&coeff_input);
-            let coeff = BigUint::from_bytes_be(&coeff_bytes[..8]);
-
-            let s = ctx.convert(&message.signature.to_biguint());
-            sig_acc = ctx.mul(&sig_acc, &ctx.pow(&s, &coeff));
-            let d = ctx.convert(&BigUint::from_bytes_be(&digests[slot]));
-            digest_acc = ctx.mul(&digest_acc, &ctx.pow(&d, &coeff));
-        }
-        ctx.pow(&sig_acc, &exponent) == digest_acc
-    }
-
-    /// Number of per-signature confirmations run (screened-and-passed
-    /// messages never reach a confirm).
-    pub fn confirms(&self) -> u64 {
-        self.confirms
-    }
-
-    /// Number of same-key groups accepted wholesale by the screen.
-    pub fn screen_passes(&self) -> u64 {
-        self.screen_passes
-    }
-
-    /// Number of same-key groups whose screen failed and fell back to
-    /// per-signature confirmation.
-    pub fn screen_fallbacks(&self) -> u64 {
-        self.screen_fallbacks
     }
 }
 
@@ -388,9 +234,9 @@ mod tests {
         verify_message(&msg, &pair.public).unwrap();
     }
 
-    /// A "reversed" pair for exercising the screen: signing uses the
-    /// short exponent 65537, verification the full-size exponent `d` —
-    /// a valid RSA relation with a screenable (long) verify exponent.
+    /// A "reversed" pair: signing uses the short exponent 65537,
+    /// verification the full-size exponent `d` — a valid RSA relation
+    /// whose verify exponent is as long as the modulus.
     fn long_exponent_pair() -> (RsaPrivateKey, RsaPublicKey) {
         let mut rng = StdRng::seed_from_u64(0xB47C);
         let pair = RsaKeyPair::generate(&mut rng, 256).unwrap();
@@ -428,7 +274,6 @@ mod tests {
         ] {
             assert_eq!(verifier.confirm(msg, key), verify_message(msg, key));
         }
-        assert_eq!(verifier.confirms(), 4);
     }
 
     #[test]
@@ -443,76 +288,60 @@ mod tests {
         if let Some(b) = msgs[4].signature.bytes.first_mut() {
             *b ^= 0x01;
         }
-        let batch: Vec<(&SignedMessage, &RsaPublicKey)> =
-            msgs.iter().map(|m| (m, &pair.public)).collect();
         for reference in [false, true] {
             crate::engine::set_reference_mode(reference);
             let mut verifier = BatchVerifier::new();
-            let got = verifier.verify_batch(&batch);
-            let expected: Vec<_> = batch.iter().map(|(m, k)| verify_message(m, k)).collect();
+            let got: Vec<_> = msgs
+                .iter()
+                .map(|m| verifier.confirm(m, &pair.public))
+                .collect();
+            let expected: Vec<_> = msgs
+                .iter()
+                .map(|m| verify_message(m, &pair.public))
+                .collect();
             assert_eq!(got, expected, "reference={reference}");
+            let accepted: Vec<bool> = got.iter().map(Result::is_ok).collect();
+            assert_eq!(
+                accepted,
+                [true, false, true, true, false, true],
+                "reference={reference}"
+            );
         }
         crate::engine::set_reference_mode(false);
     }
 
     #[test]
-    fn screen_accepts_valid_long_exponent_batches_wholesale() {
-        let _guard = crate::engine::mode_lock();
-        let (signer, public) = long_exponent_pair();
-        assert!(public.exponent().bit_len() >= super::SCREEN_MIN_EXPONENT_BITS);
-        let msgs: Vec<SignedMessage> = (0..5)
-            .map(|i| sign_message(i, format!("member {i}").as_bytes(), &signer))
-            .collect();
-        let batch: Vec<(&SignedMessage, &RsaPublicKey)> =
-            msgs.iter().map(|m| (m, &public)).collect();
-        let mut verifier = BatchVerifier::new();
-        let got = verifier.verify_batch(&batch);
-        assert!(got.iter().all(Result::is_ok));
-        assert_eq!(verifier.screen_passes(), 1);
-        assert_eq!(verifier.screen_fallbacks(), 0);
-        assert_eq!(verifier.confirms(), 0, "a passing screen skips confirms");
-    }
-
-    #[test]
     fn screen_fallback_rejects_swapped_signatures_exactly() {
         let _guard = crate::engine::mode_lock();
-        // Swapping two signatures preserves the *product* of the batch,
-        // which is exactly the cancellation the random coefficients must
-        // catch: the screen fails and the per-signature fallback rejects
-        // both swapped members while keeping the honest ones.
-        let (signer, public) = long_exponent_pair();
-        let mut msgs: Vec<SignedMessage> = (0..4)
-            .map(|i| sign_message(i, format!("member {i}").as_bytes(), &signer))
+        let (long_signer, long_public) = long_exponent_pair();
+        // Long-exponent members, two of them with swapped (individually
+        // well-formed) signatures.
+        let mut long_msgs: Vec<SignedMessage> = (0..4)
+            .map(|i| sign_message(i, format!("member {i}").as_bytes(), &long_signer))
             .collect();
-        let swapped = msgs[1].signature.clone();
-        msgs[1].signature = msgs[2].signature.clone();
-        msgs[2].signature = swapped;
-        let batch: Vec<(&SignedMessage, &RsaPublicKey)> =
-            msgs.iter().map(|m| (m, &public)).collect();
-        let mut verifier = BatchVerifier::new();
-        let got = verifier.verify_batch(&batch);
-        let expected: Vec<_> = batch.iter().map(|(m, k)| verify_message(m, k)).collect();
-        assert_eq!(got, expected);
-        assert!(got[0].is_ok() && got[3].is_ok());
-        assert!(got[1].is_err() && got[2].is_err());
-        assert_eq!(verifier.screen_fallbacks(), 1);
-        assert_eq!(verifier.screen_passes(), 0);
-    }
-
-    #[test]
-    fn standard_exponent_batches_never_screen() {
-        let _guard = crate::engine::mode_lock();
-        let pair = keypair();
-        let msgs: Vec<SignedMessage> = (0..8)
-            .map(|i| sign_message(i, b"same key", &pair.private))
-            .collect();
-        let batch: Vec<(&SignedMessage, &RsaPublicKey)> =
-            msgs.iter().map(|m| (m, &pair.public)).collect();
-        let mut verifier = BatchVerifier::new();
-        let got = verifier.verify_batch(&batch);
-        assert!(got.iter().all(Result::is_ok));
-        assert_eq!(verifier.screen_passes() + verifier.screen_fallbacks(), 0);
-        assert_eq!(verifier.confirms(), 8);
+        let swapped = long_msgs[1].signature.clone();
+        long_msgs[1].signature = long_msgs[2].signature.clone();
+        long_msgs[2].signature = swapped;
+        for reference in [false, true] {
+            crate::engine::set_reference_mode(reference);
+            let mut verifier = BatchVerifier::new();
+            let got: Vec<_> = long_msgs
+                .iter()
+                .map(|m| verifier.confirm(m, &long_public))
+                .collect();
+            let expected: Vec<_> = long_msgs
+                .iter()
+                .map(|m| verify_message(m, &long_public))
+                .collect();
+            assert_eq!(got, expected, "reference={reference}");
+            let accepted: Vec<bool> = got.iter().map(Result::is_ok).collect();
+            assert_eq!(
+                accepted,
+                [true, false, false, true],
+                "reference={reference}"
+            );
+        }
+        crate::engine::set_reference_mode(false);
     }
 
     #[test]
@@ -532,7 +361,7 @@ mod tests {
 
         /// Two key pairs shared across proptest cases (keygen is the
         /// expensive part): a standard short-exponent pair and a reversed
-        /// long-exponent pair that engages the screen.
+        /// long-exponent pair.
         fn shared_pairs() -> &'static [(RsaPrivateKey, RsaPublicKey); 2] {
             static PAIRS: OnceLock<[(RsaPrivateKey, RsaPublicKey); 2]> = OnceLock::new();
             PAIRS.get_or_init(|| {
@@ -548,13 +377,13 @@ mod tests {
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(24))]
 
-            /// Batched verification reaches exactly the per-upload
-            /// `verify_message` verdicts for arbitrary accept/reject
+            /// One shared verifier's per-message `confirm` reaches exactly
+            /// the `verify_message` verdicts for arbitrary accept/reject
             /// mixes — corrupted payload bytes and corrupted signature
-            /// bytes included — under both engine modes and under both
-            /// screening regimes (short- and long-exponent keys).
+            /// bytes included — under both engine modes and for both
+            /// short- and long-exponent keys.
             #[test]
-            fn verify_batch_equals_per_upload_for_arbitrary_mixes(
+            fn confirm_equals_per_upload_for_arbitrary_mixes(
                 payloads in proptest::collection::vec(
                     proptest::collection::vec(any::<u8>(), 1..48), 1..7),
                 corrupt_sig in proptest::collection::vec(any::<bool>(), 0..4),
@@ -593,7 +422,9 @@ mod tests {
                 crate::engine::set_reference_mode(reference);
                 let expected: Vec<_> =
                     batch.iter().map(|(m, k)| verify_message(m, k)).collect();
-                let got = BatchVerifier::new().verify_batch(&batch);
+                let mut verifier = BatchVerifier::new();
+                let got: Vec<_> =
+                    batch.iter().map(|(m, k)| verifier.confirm(m, k)).collect();
                 crate::engine::set_reference_mode(false);
                 prop_assert_eq!(got, expected);
             }

@@ -333,6 +333,11 @@ fn validate_config(config: &BflConfig, what: &str) -> Result<(), ManifestError> 
         .map_err(|e| ManifestError::new("", format!("{what} resolves to an invalid scenario: {e}")))
 }
 
+/// Most seeds a `{"range": [lo, hi]}` may expand to. The range is
+/// materialised as a seed list, so a wider one is rejected before
+/// anything is allocated.
+const MAX_RANGE_SEEDS: u64 = 1_000_000;
+
 fn parse_seeds(value: &Value, path: &str) -> Result<Vec<u64>, ManifestError> {
     let seeds = match value {
         Value::Arr(items) => {
@@ -358,6 +363,15 @@ fn parse_seeds(value: &Value, path: &str) -> Result<Vec<u64>, ManifestError> {
             let lo = as_u64(&bounds[0], &format!("{range_path}[0]"))?;
             let hi = as_u64(&bounds[1], &format!("{range_path}[1]"))?;
             require(lo < hi, &range_path, "must satisfy lo < hi")?;
+            if hi - lo > MAX_RANGE_SEEDS {
+                return Err(ManifestError::new(
+                    range_path,
+                    format!(
+                        "spans {} seeds, more than the {MAX_RANGE_SEEDS} a range may expand to",
+                        hi - lo
+                    ),
+                ));
+            }
             walker.finish()?;
             (lo..hi).collect()
         }
@@ -1028,6 +1042,23 @@ mod tests {
         assert_eq!(manifest.seeds, vec![3, 4, 5, 6]);
         let err = Manifest::from_json(r#"{"name": "t", "seeds": {"range": [7, 3]}}"#).unwrap_err();
         assert!(err.message.contains("lo < hi"), "{err}");
+    }
+
+    #[test]
+    fn huge_seed_ranges_are_rejected_before_expansion() {
+        let err =
+            Manifest::from_json(r#"{"name": "t", "seeds": {"range": [0, 18446744073709551615]}}"#)
+                .unwrap_err();
+        assert_eq!(err.path, "seeds.range");
+        assert!(err.message.contains("more than"), "{err}");
+        let widest = format!(
+            r#"{{"name": "t", "seeds": {{"range": [5, {}]}}}}"#,
+            5 + MAX_RANGE_SEEDS
+        );
+        assert_eq!(
+            Manifest::from_json(&widest).unwrap().seeds.len() as u64,
+            MAX_RANGE_SEEDS
+        );
     }
 
     #[test]

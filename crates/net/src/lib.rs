@@ -10,8 +10,8 @@
 //! runs on, parametric per-link delay distributions (constant, uniform,
 //! normal, exponential) with payload-size-dependent transfer times, the
 //! discrete-event substrate of the asynchronous round engine — a
-//! deterministic [`EventQueue`] ordered by `(simulated time, insertion
-//! sequence)` plus per-client [`NodeProfile`]s (compute rate, uplink
+//! deterministic [`EventQueue`], one binary heap ordered by `(simulated
+//! time, insertion sequence)`, plus per-client [`NodeProfile`]s (compute rate, uplink
 //! latency, churn schedule) — and the
 //! client↔miner topology (uniform random association per round, miner full
 //! mesh).
@@ -27,7 +27,7 @@ pub mod topology;
 
 pub use clock::SimClock;
 pub use delay::{DelayDistribution, LinkModel};
-pub use event::{merge_runs, EventQueue, InvalidEventTime, ScheduledEvent, DEFAULT_LANES};
+pub use event::{EventQueue, InvalidEventTime, ScheduledEvent};
 pub use fault::{CrashSchedule, FaultPlan, LinkFaults, Partition, TimeWindow};
 pub use profile::{ChurnSchedule, NodeProfile};
 pub use topology::Topology;

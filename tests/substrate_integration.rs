@@ -7,7 +7,7 @@
 use fair_bfl::chain::{Blockchain, Mempool, PowConfig, Transaction};
 use fair_bfl::cluster::{dbscan, DbscanConfig, DistanceMetric};
 use fair_bfl::crypto::signature::sign_message;
-use fair_bfl::crypto::KeyStore;
+use fair_bfl::crypto::{BatchVerifier, KeyStore};
 use fair_bfl::data::{SynthMnist, SynthMnistConfig};
 use fair_bfl::ml::gradient;
 use fair_bfl::ml::model::{Model, ModelKind};
@@ -26,6 +26,7 @@ fn signed_gradient_transactions_flow_from_clients_to_a_mined_block() {
     // Each client produces a (fake) gradient payload, signs it, and submits
     // it through the miner's mempool.
     let mut mempool = Mempool::new();
+    let mut verifier = BatchVerifier::new();
     for id in 1..=3u64 {
         let grad: Vec<f64> = (0..32)
             .map(|i| (id as f64) * 0.1 + i as f64 * 0.01)
@@ -34,7 +35,7 @@ fn signed_gradient_transactions_flow_from_clients_to_a_mined_block() {
         let envelope = sign_message(id, &payload, &pairs[&id].private);
         let tx = Transaction::local_gradient(id, 1, payload);
         mempool
-            .submit_signed(tx, &envelope, &keystore)
+            .submit_signed(tx, &envelope, &keystore, &mut verifier)
             .expect("registered client uploads verify");
     }
     assert_eq!(mempool.len(), 3);
@@ -44,7 +45,7 @@ fn signed_gradient_transactions_flow_from_clients_to_a_mined_block() {
     let forged_envelope = sign_message(1, b"poison", &pairs[&2].private);
     let forged_tx = Transaction::local_gradient(1, 1, b"poison".to_vec());
     assert!(mempool
-        .submit_signed(forged_tx, &forged_envelope, &keystore)
+        .submit_signed(forged_tx, &forged_envelope, &keystore, &mut verifier)
         .is_err());
     assert_eq!(mempool.len(), 3);
 
